@@ -156,8 +156,8 @@ def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     work = model if axis == 1 else swap_coordinates(model)
     kappa, case, periodic = _boundary_case_axis1(work)
     rate = compute_geometry(work).tau[0]
-    arith = "non-arithmetic" if arithmetic_profile(work).va else (
-        arithmetic_profile(work).b_case + arithmetic_profile(work).c_case)
+    prof = arithmetic_profile(work)
+    arith = "non-arithmetic" if prof.va else prof.b_case + prof.c_case
     return AsymptoticClass(
         rate=rate,
         kappa=kappa,
@@ -258,13 +258,13 @@ class AnalysisReport:
         return self.body
 
 
-def _round12(x):
+def round12(x):
     if isinstance(x, float):
         return float(f"{x:.12g}")
     if isinstance(x, dict):
-        return {k: _round12(v) for k, v in x.items()}
+        return {k: round12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_round12(v) for v in x]
+        return [round12(v) for v in x]
     return x
 
 
@@ -305,7 +305,7 @@ def full_report(model: ValidatedModel, source: str = "inline") -> AnalysisReport
         },
     }
     if not verdict.stable:
-        return AnalysisReport(False, _round12(body))
+        return AnalysisReport(False, round12(body))
     geo = compute_geometry(model)
     sig = sigma_points(model)
     body["geometry"] = {
@@ -320,7 +320,7 @@ def full_report(model: ValidatedModel, source: str = "inline") -> AnalysisReport
         "sigma_d": sig.sigma_d,
     }
     body["classes"] = {name: _class_dict(cls) for name, cls in classes(model).items()}
-    return AnalysisReport(True, _round12(body))
+    return AnalysisReport(True, round12(body))
 
 
 def _axis_dict(ax) -> dict:

@@ -1,7 +1,8 @@
 """Command-line surface: analyze a model file, verify it against the
 truncated-chain oracle, emit domain-plot data, and generate example models.
 
-Exit codes: 0 ok, 1 invalid model, 2 unstable model, 3 verification failed.
+Exit codes: 0 ok, 1 invalid model, 2 unstable model, 3 verification failed,
+4 the oracle could not fit a tail.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNSTABLE = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_NO_FIT = 4
 
 
 def _dump(body: dict, fmt: str, out: str | None) -> None:
@@ -83,9 +85,13 @@ def run_verify(args) -> int:
     if not report.stable:
         _dump(report.to_dict(), args.format, args.out)
         return EXIT_UNSTABLE
-    reports = oracle.verify_model(
-        model, n_grid=args.n_grid, window_frac=tuple(args.window),
-        tol_rate=args.tol_rate, tol_kappa=args.tol_kappa)
+    try:
+        reports = oracle.verify_model(
+            model, n_grid=args.n_grid, window_frac=tuple(args.window),
+            tol_rate=args.tol_rate, tol_kappa=args.tol_kappa)
+    except ValueError as exc:
+        print(f"oracle could not fit a tail: {exc}", file=sys.stderr)
+        return EXIT_NO_FIT
     body = report.to_dict()
     body["verification"] = {
         name: {
@@ -104,7 +110,7 @@ def run_verify(args) -> int:
         }
         for name, r in reports.items()
     }
-    body = asymptotics._round12(body)
+    body = asymptotics.round12(body)
     _dump(body, args.format, args.out)
     failing = [name for name, r in reports.items() if not r.passed]
     if failing:

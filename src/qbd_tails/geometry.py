@@ -181,12 +181,7 @@ def _extreme_r_axis1(model: ValidatedModel) -> tuple[float, float] | None:
 def extreme_r(model: ValidatedModel, axis: int) -> tuple[float, float]:
     """The extreme point where the face curve and the kernel curve meet with
     the largest `axis` coordinate (both generating functions equal one)."""
-    require_stable(model)
-    if axis == 2:
-        pt = _extreme_r_axis1(swap_coordinates(model))
-        pt = None if pt is None else (pt[1], pt[0])
-    else:
-        pt = _extreme_r_axis1(model)
+    pt = _axis_geometry(model, axis).u_r
     if pt is None:
         raise GeometryError(
             f"no boundary crossing with coordinate {axis} above 1 was found")

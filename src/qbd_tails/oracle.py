@@ -6,18 +6,13 @@ classes."""
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .asymptotics import AsymptoticClass, classes
+from .asymptotics import DIRECTIONS, AsymptoticClass, classes
 from .model import ValidatedModel, require_stable
-
-DIRECTIONS = ("boundary1", "boundary2", "marginal1", "marginal2", "diagonal")
 
 KAPPA_LATTICE = (-1.5, -0.5, 0.0, 1.0)
 
@@ -27,9 +22,6 @@ class EmpiricalStationaryDistribution:
     n_grid: int
     pi: np.ndarray  # shape (n_grid + 1, n_grid + 1)
     residual: float  # one-step stationarity defect, L1
-    iterations: int
-    converged: bool
-    truncation: str = "censored-row-renormalized"
 
 
 @dataclass(frozen=True)
@@ -70,72 +62,41 @@ class VerificationReport:
     fitted: FittedAsymptotic
 
 
+def _arcs(model: ValidatedModel, n_grid: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-grid arcs (src, tgt, p) of the chain censored to {0..N}^2, states
+    numbered lexicographically (i * (N + 1) + j).  Arcs come sorted by
+    source, each source's arcs in kernel-entry order; the outward mass is
+    renormalized back into each row, so every row of p sums to one."""
+    n = n_grid + 1
+    size = n * n
+    si, sj = np.divmod(np.arange(size), n)
+    face = (si > 0) + 2 * (sj > 0)  # index into the tuple below
+    kernels = [model.kernel(f).entries
+               for f in ("origin", "boundary1", "boundary2", "interior")]
+    width = max(len(e) for e in kernels)
+    table = np.zeros((4, width, 3))  # (di, dj, p), zero mass as padding
+    for f, entries in enumerate(kernels):
+        table[f, :len(entries)] = entries
+    di, dj, p = np.moveaxis(table[face], 2, 0)
+    ti = si[:, None] + di.astype(int)
+    tj = sj[:, None] + dj.astype(int)
+    keep = (p > 0.0) & (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
+    src = np.broadcast_to(np.arange(size)[:, None], keep.shape)[keep]
+    tgt = (ti * n + tj)[keep]
+    p = p[keep]
+    return src, tgt, p / np.bincount(src, weights=p, minlength=size)[src]
+
+
 def censored_matrix(model: ValidatedModel, n_grid: int) -> sp.csr_matrix:
     """Row-stochastic transition matrix of the chain restricted to the grid
     {0..N}^2, outward mass renormalized back into each row."""
-    n = n_grid + 1
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    masks = {
-        "origin": (ii == 0) & (jj == 0),
-        "boundary1": (ii > 0) & (jj == 0),
-        "boundary2": (ii == 0) & (jj > 0),
-        "interior": (ii > 0) & (jj > 0),
-    }
-    rows, cols, data = [], [], []
-    for face, mask in masks.items():
-        src_i, src_j = ii[mask], jj[mask]
-        base = src_i * n + src_j
-        for di, dj, p in model.kernel(face).entries:
-            ti, tj = src_i + di, src_j + dj
-            keep = (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
-            rows.append(base[keep])
-            cols.append(ti[keep] * n + tj[keep])
-            data.append(np.full(int(keep.sum()), p))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n)).tocsr()
-    mat.sum_duplicates()
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    r = np.repeat(np.arange(n * n), np.diff(mat.indptr))
-    mat.data /= row_sums[r]
-    return mat
+    size = (n_grid + 1) ** 2
+    src, tgt, p = _arcs(model, n_grid)
+    return sp.csr_matrix((p, (src, tgt)), shape=(size, size))
 
 
-def _face_of(i: int, j: int) -> str:
-    if i == 0 and j == 0:
-        return "origin"
-    if j == 0:
-        return "boundary1"
-    if i == 0:
-        return "boundary2"
-    return "interior"
-
-
-def _row_sums(model: ValidatedModel, n_grid: int) -> np.ndarray:
-    """In-grid outgoing mass of every state (the censoring renormalizer)."""
-    n = n_grid + 1
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    sums = np.zeros(n * n)
-    masks = {
-        "origin": (ii == 0) & (jj == 0),
-        "boundary1": (ii > 0) & (jj == 0),
-        "boundary2": (ii == 0) & (jj > 0),
-        "interior": (ii > 0) & (jj > 0),
-    }
-    for face, mask in masks.items():
-        acc = np.zeros(int(mask.sum()))
-        si, sj = ii[mask], jj[mask]
-        for di, dj, p in model.kernel(face).entries:
-            ti, tj = si + di, sj + dj
-            acc += p * ((ti >= 0) & (ti < n) & (tj >= 0) & (tj < n))
-        sums[mask] = acc
-    return sums
-
-
-def _elim_span_numpy(g, base, k_hi, k_lo, band, cols, outs):
+def _elim_span(g, base, k_hi, k_lo, band, cols, outs):
     tmp = np.empty((band, band))
     for k in range(k_hi, k_lo - 1, -1):
         t = k - base
@@ -153,74 +114,32 @@ def _elim_span_numpy(g, base, k_hi, k_lo, band, cols, outs):
             g[lo:t, lo:t] += blk
 
 
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _elim_span_jit(g, base, k_hi, k_lo, band, cols, outs):  # pragma: no cover
-        for k in range(k_hi, k_lo - 1, -1):
-            t = k - base
-            w = band if k >= band else k
-            lo = t - w
-            s = 0.0
-            for c in range(lo, t):
-                s += g[t, c]
-            outs[k] = s
-            for a in range(w):
-                cols[k, a] = g[lo + a, t]
-            if s > 0.0:
-                inv = 1.0 / s
-                for a in range(lo, t):
-                    cin = g[a, t]
-                    if cin != 0.0:
-                        f = cin * inv
-                        for c in range(lo, t):
-                            g[a, c] += f * g[t, c]
-
-    _elim_span = _elim_span_jit
-except ImportError:  # pragma: no cover
-    _elim_span = _elim_span_numpy
-
-
-def _solve_gth(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
-    """Subtraction-free elimination (GTH) on the censored chain, exploiting
-    the banded structure of the lexicographic state order.
+def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
+    """Stationary distribution of the chain censored to {0..N}^2 (outward
+    mass renormalized into each row), by subtraction-free elimination (GTH)
+    exploiting the banded structure of the lexicographic state order.
 
     Every arithmetic operation is an addition, multiplication or division of
     nonnegative numbers, so the stationary vector keeps componentwise
     relative accuracy at any magnitude, which the tail fits require.
     """
+    require_stable(model)
+    if n_grid < 32:
+        raise ValueError("grid must be at least 32")
     n = n_grid + 1
     size = n * n
     band = n + 1  # largest index jump of a skip-free move
-    row_sums = _row_sums(model, n_grid)
+    src, tgt, p = _arcs(model, n_grid)
     chunk = max(256, 2 * band)
     buf_dim = min(band + 1 + chunk, size)
 
     def fill_arcs(g: np.ndarray, gbase: int, lo: int, hi: int, cutoff: int) -> None:
         """Write the original censored arcs u -> v with u, v in [lo, hi] and
         at least one endpoint below `cutoff` into the dense buffer."""
-        states = np.arange(lo, hi + 1)
-        si, sj = np.divmod(states, n)
-        masks = {
-            "origin": (si == 0) & (sj == 0),
-            "boundary1": (si > 0) & (sj == 0),
-            "boundary2": (si == 0) & (sj > 0),
-            "interior": (si > 0) & (sj > 0),
-        }
-        for face, mask in masks.items():
-            src = states[mask]
-            if src.size == 0:
-                continue
-            ui, uj = si[mask], sj[mask]
-            for di, dj, p in model.kernel(face).entries:
-                ti, tj = ui + di, uj + dj
-                ok = (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
-                tgt = ti * n + tj
-                keep = ok & (tgt >= lo) & (tgt <= hi) & ((src < cutoff) | (tgt < cutoff))
-                if not keep.any():
-                    continue
-                g[src[keep] - gbase, tgt[keep] - gbase] = p / row_sums[src[keep]]
+        a, b = np.searchsorted(src, (lo, hi + 1))
+        u, v, q = src[a:b], tgt[a:b], p[a:b]
+        keep = (v >= lo) & (v <= hi) & ((u < cutoff) | (v < cutoff))
+        g[u[keep] - gbase, v[keep] - gbase] = q[keep]
 
     g = np.zeros((buf_dim, buf_dim))
     base = size - buf_dim
@@ -249,60 +168,10 @@ def _solve_gth(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistrib
         w = min(band, k)
         pi[k] = float(np.dot(pi[k - w:k], cols[k, :w])) / outs[k]
     pi /= pi.sum()
-    pi = pi.reshape(n, n)
-    pt = censored_matrix(model, n_grid).T.tocsr()
-    residual = float(np.abs(pt @ pi.ravel() - pi.ravel()).sum())
+    flow = np.bincount(tgt, weights=pi[src] * p, minlength=size)  # pi P
+    residual = float(np.abs(flow - pi).sum())
     return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=pi, residual=residual, iterations=size,
-        converged=True)
-
-
-def _solve_power(model: ValidatedModel, n_grid: int, tol: float,
-                 max_sweeps: int) -> EmpiricalStationaryDistribution:
-    """Damped power iteration pi <- pi (I + P) / 2; the damping kills
-    period-2 modes.  Converges in total variation but cannot resolve the
-    far tail componentwise; kept for cross-checks of the bulk."""
-    pt = censored_matrix(model, n_grid).T.tocsr()
-    size = pt.shape[0]
-    x = np.full(size, 1.0 / size)
-    it = 0
-    converged = False
-    while it < max_sweeps:
-        y = 0.5 * x + 0.5 * (pt @ x)
-        y /= y.sum()
-        diff = np.abs(y - x).sum()
-        x = y
-        it += 1
-        if diff < tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(f"power iteration hit the {max_sweeps}-sweep cap", RuntimeWarning)
-    residual = float(np.abs(pt @ x - x).sum())
-    return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=x.reshape(n_grid + 1, n_grid + 1), residual=residual,
-        iterations=it, converged=converged)
-
-
-def solve_truncated(model: ValidatedModel, n_grid: int, tol: float = 1e-13,
-                    max_sweeps: int = 2_000_000,
-                    method: str = "gth") -> EmpiricalStationaryDistribution:
-    """Stationary distribution of the chain censored to {0..N}^2 (outward
-    mass renormalized into each row).
-
-    method "gth" (default): banded subtraction-free elimination, exact to
-    componentwise relative precision, which tail fitting needs.  method
-    "power": damped power iteration with the given tolerance and sweep cap;
-    accurate in total variation only.
-    """
-    require_stable(model)
-    if n_grid < 32:
-        raise ValueError("grid must be at least 32")
-    if method == "gth":
-        return _solve_gth(model, n_grid)
-    if method == "power":
-        return _solve_power(model, n_grid, tol, max_sweeps)
-    raise ValueError(f"unknown method {method!r}")
+        n_grid=n_grid, pi=pi.reshape(n, n), residual=residual)
 
 
 def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequence:
@@ -418,14 +287,6 @@ def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
         analytic=analytic, fitted=fitted)
 
 
-def _workers() -> int:
-    env = os.environ.get("QBD_TAILS_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def verify_model(model: ValidatedModel, n_grid: int = 300,
                  window_frac: tuple[float, float] = (0.3, 0.6),
                  tol_rate: float = 5e-3, tol_kappa: float = 0.2,
@@ -436,17 +297,9 @@ def verify_model(model: ValidatedModel, n_grid: int = 300,
     if dist is None:
         dist = solve_truncated(model, n_grid)
     analytic = classes(model)
-
-    def one(direction: str) -> VerificationReport:
-        seq = extract(dist, direction)
-        fitted = fit_tail(seq, window_frac=window_frac)
-        return verify(analytic[direction], fitted, tol_rate, tol_kappa,
-                      b_threshold, direction)
-
-    w = min(_workers(), len(DIRECTIONS))
-    if w > 1:
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            reports = list(ex.map(one, DIRECTIONS))
-    else:
-        reports = [one(d) for d in DIRECTIONS]
-    return {r.direction: r for r in reports}
+    return {
+        direction: verify(analytic[direction],
+                          fit_tail(extract(dist, direction), window_frac=window_frac),
+                          tol_rate, tol_kappa, b_threshold, direction)
+        for direction in DIRECTIONS
+    }

@@ -167,7 +167,8 @@ def _truncation_stable(model) -> bool:
     on the doubled grid must agree, direction by direction.  Models with a
     slow secondary decay direction leak wall bias deep into the fit window
     and are rejected."""
-    from qbd_tails.oracle import DIRECTIONS, extract, fit_tail, solve_truncated
+    from qbd_tails.asymptotics import DIRECTIONS
+    from qbd_tails.oracle import extract, fit_tail
     d1 = qt.solve_truncated(model, 72)
     d2 = qt.solve_truncated(model, 144)
     for direction in DIRECTIONS:

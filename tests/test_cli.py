@@ -83,6 +83,20 @@ def test_verify_tight_tolerance_fails(product_file, tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_verify_unfittable_tail_exit_four(tmp_path, capsys):
+    # rate 4999: the boundary ray underflows to exact zeros from n = 88 on,
+    # inside the window 30..95, so no tail can be fitted
+    path = str(tmp_path / "uf.json")
+    assert main(["gen", "mm1", "0.0001", "0.4999", "0.0001", "0.4999",
+                 "--out", path]) == 0
+    code = main(["verify", "--model", path, "--n-grid", "100",
+                 "--window", "0.3", "0.95", "--out", str(tmp_path / "v.json")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("oracle could not fit a tail:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_verify_rejects_bad_window(product_file, capsys):
     assert main(["verify", "--model", product_file, "--window", "0.6", "0.3"]) == 1
     assert main(["verify", "--model", product_file, "--n-grid", "8"]) == 1
