@@ -1,8 +1,8 @@
 """Command-line surface: analyze a model file, verify it against the
 truncated-chain oracle, emit domain-plot data, and generate example models.
 
-Exit codes: 0 ok, 1 invalid model, 2 unstable model, 3 verification failed,
-4 the oracle could not fit a tail.
+Exit codes: 0 ok, 1 invalid model or argument, 2 unstable model,
+3 verification failed, 4 the oracle could not fit a tail.
 """
 
 from __future__ import annotations
@@ -162,17 +162,16 @@ def run_plot(args) -> int:
 
 
 def run_gen(args) -> int:
-    if args.family == "jackson":
-        lam, mu1, mu2, p, q = args.params
-        model = netgen.jackson_model(lam, mu1, mu2, p, q)
-        if not netgen.JacksonSimParams(lam, mu1, mu2, p, q).stable():
-            print("unstable", file=sys.stderr)
-    elif args.family == "mm1":
-        l1, m1, l2, m2 = args.params
-        model = netgen.independent_mm1(l1, m1, l2, m2)
-    else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
+    try:
+        if args.family == "jackson":
+            model = netgen.jackson_model(*args.params)
+        else:
+            model = netgen.independent_mm1(*args.params)
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if args.family == "jackson" and not netgen.JacksonSimParams(*args.params).stable():
+        print("unstable", file=sys.stderr)
     text = json.dumps(model.to_document(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -234,6 +233,9 @@ def main(argv=None) -> int:
             return EXIT_INVALID
         return run_verify(args)
     if args.command == "plot":
+        if args.n < 2:
+            print("need at least 2 points per curve", file=sys.stderr)
+            return EXIT_INVALID
         return run_plot(args)
     return EXIT_INVALID
 

@@ -267,35 +267,17 @@ def compute_geometry(model: ValidatedModel) -> Geometry:
 
 
 def _upper_envelope_max(model: ValidatedModel, theta1: float) -> float:
-    """sup of log zeta_upper_2 over abscissas strictly beyond theta1,
-    exact by concavity of the envelope (golden-section refinement)."""
-    bp = kernel.branch_points(model, 1)
-    lo = max(theta1, math.log(bp.u_min) + 1e-12)
-    hi = math.log(bp.u_max)
-    if lo >= hi:
+    """sup of log zeta_upper_2 over abscissas strictly beyond theta1.
+
+    The envelope is concave and peaks at the highest point of the kernel
+    curve, the axis-2 branch point: left of it the sup is the peak height,
+    right of it the envelope's own value, and beyond u_max1 nothing."""
+    u_peak, v_peak = _axis_geometry(model, 2).u_max_pt
+    if theta1 >= math.log(kernel.branch_points(model, 1).u_max):
         return -math.inf
-
-    def env(x):
-        return math.log(float(np.real(kernel.zeta_upper(model, 2, math.exp(x)))))
-
-    xs = np.linspace(lo, hi, 200)
-    vals = [env(x) for x in xs]
-    k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = env(c), env(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = env(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = env(d)
-    return max(vals[k], fc, fd)
+    if theta1 < math.log(u_peak):
+        return math.log(v_peak)
+    return math.log(float(np.real(kernel.zeta_upper(model, 2, math.exp(theta1)))))
 
 
 def domain_contains(model: ValidatedModel, theta: tuple[float, float]) -> bool:
@@ -340,14 +322,11 @@ def _curve_gamma_plus(model: ValidatedModel, n: int):
     """Closed kernel curve: lower branch left to right, then upper branch back."""
     bp = kernel.branch_points(model, 1)
     k1 = (n + 1) // 2
-    k2 = n - k1
-    pts = []
-    for z in _cos_grid(bp.u_min, bp.u_max, k1):
-        pts.append((float(z), float(np.real(kernel.zeta_lower(model, 2, float(z))))))
-    if k2 > 0:
-        for z in _cos_grid(bp.u_max, bp.u_min, k2):
-            pts.append((float(z), float(np.real(kernel.zeta_upper(model, 2, float(z))))))
-    return pts
+    lower = _cos_grid(bp.u_min, bp.u_max, k1)
+    upper = _cos_grid(bp.u_max, bp.u_min, n - k1)
+    return (np.concatenate([lower, upper]),
+            np.real(np.concatenate([kernel.zeta_lower(model, 2, lower),
+                                    kernel.zeta_upper(model, 2, upper)])))
 
 
 def _curve_gamma_face(model: ValidatedModel, n: int):
@@ -365,20 +344,16 @@ def _curve_gamma_face(model: ValidatedModel, n: int):
         zc = min(max(z, bp.u_min), bp.u_max)
         w_lo = float(np.real(kernel.zeta_lower(model, 2, zc)))
         w_hi = float(np.real(kernel.zeta_upper(model, 2, zc)))
-        return [(z, w) for w in np.linspace(max(w_lo, 1e-6), max(w_hi, 1e-3), n)]
-    grid = np.linspace(bp.u_min, bp.u_max, 8 * n)
-    valid = []
-    for z in grid:
-        bz = pm.polyval(z, b)
-        if bz <= 0:
-            continue
-        w = (z - pm.polyval(z, a)) / bz
-        if w > 1e-9:
-            valid.append((float(z), float(w)))
-    if len(valid) < 2:
+        return np.full(n, z), np.linspace(max(w_lo, 1e-6), max(w_hi, 1e-3), n)
+    z = np.linspace(bp.u_min, bp.u_max, 8 * n)
+    bz = pm.polyval(z, b)
+    z, bz = z[bz > 0], bz[bz > 0]
+    w = (z - pm.polyval(z, a)) / bz
+    z, w = z[w > 1e-9], w[w > 1e-9]
+    if z.size < 2:
         raise GeometryError("boundary curve does not enter the sampled range")
-    idx = np.linspace(0, len(valid) - 1, n).round().astype(int)
-    return [valid[i] for i in idx]
+    idx = np.linspace(0, z.size - 1, n).round().astype(int)
+    return z[idx], w[idx]
 
 
 def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
@@ -391,11 +366,11 @@ def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
     if n < 2:
         raise ValueError("need at least 2 sample points")
     if curve == "gamma_plus":
-        pts_u = _curve_gamma_plus(model, n)
+        u1, u2 = _curve_gamma_plus(model, n)
     elif curve == "gamma1":
-        pts_u = _curve_gamma_face(model, n)
+        u1, u2 = _curve_gamma_face(model, n)
     elif curve == "gamma2":
-        pts_u = [(w, z) for z, w in _curve_gamma_face(swap_coordinates(model), n)]
+        u2, u1 = _curve_gamma_face(swap_coordinates(model), n)
     elif curve == "domain":
         geo = compute_geometry(model)
         lo = math.log(geo.axis1.u_min) + 1e-9
@@ -411,5 +386,8 @@ def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
         )
     else:
         raise ValueError(f"unknown curve {curve!r}")
-    theta = tuple((math.log(z), math.log(w)) for z, w in pts_u)
-    return DomainSample(curve=curve, theta=theta, u=tuple(pts_u))
+    return DomainSample(
+        curve=curve,
+        theta=tuple(zip(np.log(u1).tolist(), np.log(u2).tolist())),
+        u=tuple(zip(u1.tolist(), u2.tolist())),
+    )

@@ -126,6 +126,19 @@ def test_gen_wrong_arity(capsys):
     assert main(["gen", "jackson", "1", "5"]) == 1
 
 
+@pytest.mark.parametrize("params", [
+    ["mm1", "0.3", "0.1", "0.15", "0.45"],  # l1 >= m1
+    ["mm1", "0.5", "0.6", "0.1", "0.3"],  # rates sum above 1
+    ["jackson", "0", "5", "4", "0.25", "0.4"],  # zero arrival rate
+    ["jackson", "1", "5", "4", "1.5", "0.4"],  # routing probability above 1
+])
+def test_gen_out_of_range_exit_one(params, capsys):
+    assert main(["gen", *params]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_reports_deterministic(product_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["analyze", "--model", product_file, "--out", str(a)]) == 0
@@ -154,6 +167,12 @@ def test_plot_two_point_curves(product_file, tmp_path):
                  "--n", "2"]) == 0
     rows = (out / "gamma_plus.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_plot_rejects_one_point(product_file, tmp_path, capsys):
+    assert main(["plot", "--model", product_file, "--out", str(tmp_path / "p"),
+                 "--n", "1"]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_plot_unstable_exit_two(tmp_path):

@@ -9,6 +9,7 @@ import qbd_tails as qt
 from qbd_tails.geometry import (
     EQ_TOL,
     GeometryError,
+    _upper_envelope_max,
     classify,
     compute_geometry,
     directional_decay,
@@ -20,6 +21,47 @@ from qbd_tails.geometry import (
 )
 from qbd_tails.kernel import gamma, zeta_upper
 from qbd_tails.model import UnstableModelError
+
+NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch",
+         "x_shaped", "tangent", "degenerate_tangent", "double_pole")
+
+
+@pytest.fixture(scope="module")
+def named(request):
+    return [request.getfixturevalue(name) for name in NAMED]
+
+
+def _envelope_by_search(model, theta1):
+    """Reference for the domain's upper envelope: sup of log zeta_upper_2
+    over abscissas strictly beyond theta1, exact by concavity of the
+    envelope (200-point scan, then golden-section refinement)."""
+    bp = qt.branch_points(model, 1)
+    lo = max(theta1, math.log(bp.u_min) + 1e-12)
+    hi = math.log(bp.u_max)
+    if lo >= hi:
+        return -math.inf
+
+    def env(x):
+        return math.log(float(np.real(zeta_upper(model, 2, math.exp(x)))))
+
+    xs = np.linspace(lo, hi, 200)
+    vals = [env(x) for x in xs]
+    k = int(np.argmax(vals))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, len(xs) - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = env(c), env(d)
+    for _ in range(60):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = env(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = env(d)
+    return max(vals[k], fc, fd)
 
 
 def test_extreme_r_product(product):
@@ -149,10 +191,28 @@ def test_directional_decay_product(product):
     assert directional_decay(product, (1, 1)) == pytest.approx(3.0, abs=1e-6)
 
 
-def test_directional_decay_matches_marginal_rate(corpus20):
-    for m in corpus20[:8]:
-        rate = qt.marginal_class(m, 1).rate
-        assert directional_decay(m, (1, 0)) == pytest.approx(rate, rel=5e-3)
+def test_directional_decay_matches_marginal_rate(named, corpus20):
+    for m in named + corpus20[:8]:
+        cls = qt.classes(m)
+        for c, name in (((1, 0), "marginal1"), ((0, 1), "marginal2"),
+                        ((1, 1), "diagonal")):
+            assert directional_decay(m, c) == pytest.approx(cls[name].rate, rel=1e-12)
+
+
+def test_upper_envelope_max_matches_search(named, corpus20):
+    # a theta1 grid from below log u_min1, across the peak at the axis-2
+    # branch point, to beyond log u_max1, where both sides give -inf
+    for m in named + corpus20:
+        bp = qt.branch_points(m, 1)
+        u_peak = compute_geometry(m).axis2.u_max_pt[0]
+        grid = np.linspace(math.log(bp.u_min) - 0.5, math.log(bp.u_max) + 0.5, 11)
+        for t1 in [*grid.tolist(), math.log(u_peak), math.log(bp.u_max)]:
+            want = _envelope_by_search(m, t1)
+            got = _upper_envelope_max(m, t1)
+            if want == -math.inf:
+                assert got == -math.inf
+            else:
+                assert abs(got - want) <= 1e-12
 
 
 def test_directional_decay_rejects_other_directions(product):
@@ -190,8 +250,7 @@ def test_sample_boundary_domain_curve(product):
     sample = sample_boundary(product, "domain", 64)
     geo = compute_geometry(product)
     for t1, t2 in sample.theta:
-        from qbd_tails.geometry import _upper_envelope_max
-        want = min(math.log(geo.tau[1]), _upper_envelope_max(product, t1))
+        want = min(math.log(geo.tau[1]), _envelope_by_search(product, t1))
         assert t2 == pytest.approx(want, abs=1e-9)
     assert sample.theta[-1][0] <= math.log(geo.tau[0])
 
