@@ -51,7 +51,6 @@ from .geometry import (
     domain_contains,
     extreme_max,
     extreme_r,
-    gamma_point,
     sample_boundary,
 )
 from .asymptotics import (
@@ -83,7 +82,6 @@ from .netgen import (
     independent_mm1,
     jackson_boundary_condition,
     jackson_model,
-    jackson_u1r_closed_form,
 )
 
 __version__ = "0.1.0"

@@ -188,12 +188,6 @@ def extreme_r(model: ValidatedModel, axis: int) -> tuple[float, float]:
     return pt
 
 
-def gamma_point(model: ValidatedModel, axis: int) -> tuple[float, float]:
-    """The effective singularity driver: the crossing point when the face
-    function exceeds one at the branch point, else the branch point."""
-    return _axis_geometry(model, axis).u_gamma
-
-
 @lru_cache(maxsize=256)
 def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
     require_stable(model)
@@ -372,13 +366,16 @@ def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
     elif curve == "gamma2":
         u2, u1 = _curve_gamma_face(swap_coordinates(model), n)
     elif curve == "domain":
+        # _upper_envelope_max at every sample, one zeta_upper call
         geo = compute_geometry(model)
+        u_peak, v_peak = geo.axis2.u_max_pt
         lo = math.log(geo.axis1.u_min) + 1e-9
         hi = math.log(geo.tau[0]) - 1e-12
-        pts_t = []
-        for t1 in np.linspace(lo, hi, n):
-            h = min(math.log(geo.tau[1]), _upper_envelope_max(model, float(t1)))
-            pts_t.append((float(t1), float(h)))
+        t1 = np.linspace(lo, hi, n)
+        env = np.where(t1 < math.log(geo.axis1.u_max), math.log(v_peak), -math.inf)
+        right = (t1 >= math.log(u_peak)) & np.isfinite(env)
+        env[right] = np.log(np.real(kernel.zeta_upper(model, 2, np.exp(t1[right]))))
+        pts_t = list(zip(t1.tolist(), np.minimum(env, math.log(geo.tau[1])).tolist()))
         return DomainSample(
             curve=curve,
             theta=tuple(pts_t),

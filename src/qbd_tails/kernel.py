@@ -254,10 +254,3 @@ def zeta_lower(model: ValidatedModel, axis: int, u):
 def zeta_upper(model: ValidatedModel, axis: int, u):
     """Upper branch of the kernel curve in coordinate `axis` at abscissa u."""
     return _branch_values(model, axis, u)[1]
-
-
-def zeta_upper_second_derivative(model: ValidatedModel, axis: int, u: float,
-                                 h: float = 1e-5) -> float:
-    """Central-difference second derivative of the upper branch."""
-    f = lambda x: float(np.real(zeta_upper(model, axis, x)))
-    return (f(u + h) - 2.0 * f(u) + f(u - h)) / (h * h)

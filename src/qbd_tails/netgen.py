@@ -4,7 +4,6 @@ product-form stationary distribution serves as ground truth."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import TransitionKernel, ValidatedModel, validate
@@ -63,17 +62,6 @@ def jackson_model(lam, mu1, mu2, p, q) -> ValidatedModel:
         "boundary2": TransitionKernel.from_probs("boundary2", boundary2),
         "origin": TransitionKernel.from_probs("origin", origin),
     })
-
-
-def jackson_u1r_closed_form(lam, mu1, p, q) -> tuple[float, float]:
-    """Closed form of the axis-1 extreme crossing for the network:
-    u1 = (-lam + sqrt(lam^2 + 4 lam q mu1 (1 - p q))) / (2 lam q), and
-    u2 = q u1 + 1 - q.  Requires q > 0; at q = 0 the point is (mu1/lam, 1)."""
-    lam, mu1, p, q = float(lam), float(mu1), float(p), float(q)
-    if q <= 0.0:
-        raise ValueError("closed form needs q > 0; use (mu1/lam, 1) at q = 0")
-    u1 = (-lam + math.sqrt(lam * lam + 4.0 * lam * q * mu1 * (1.0 - p * q))) / (2.0 * lam * q)
-    return (u1, q * u1 + 1.0 - q)
 
 
 def jackson_boundary_condition(lam, mu1, mu2, p) -> bool:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .asymptotics import DIRECTIONS, AsymptoticClass, classes
 from .model import ValidatedModel, require_stable
@@ -96,77 +97,114 @@ def censored_matrix(model: ValidatedModel, n_grid: int) -> sp.csr_matrix:
     return sp.csr_matrix((p, (src, tgt)), shape=(size, size))
 
 
-def _elim_span(g, base, k_hi, k_lo, band, cols, outs):
-    tmp = np.empty((band, band))
-    for k in range(k_hi, k_lo - 1, -1):
-        t = k - base
-        w = band if k >= band else k
-        lo = t - w
-        out_row = g[t, lo:t]
-        in_col = g[lo:t, t]
-        sk = out_row.sum()
-        outs[k] = sk
-        cols[k, :w] = in_col
-        if sk > 0.0:
-            blk = tmp[:w, :w]
-            np.multiply(in_col[:, None], out_row[None, :], out=blk)
-            blk /= sk
-            g[lo:t, lo:t] += blk
+_LEAF = 32  # pivots factored one at a time below this block size
+
+
+def _gth_lu(g: np.ndarray, f: np.ndarray) -> None:
+    """In-place LU, without pivoting, of the M-matrix with off-diagonal
+    entries g and row sums -f (f: exit mass, negated).  Each diagonal is
+    the GTH sum d_k = -(f_k + sum of row k right of k) in the current Schur
+    complement, so no diagonal is ever formed by cancellation.  g and f
+    carry M's signs: off-diagonals and f are <= 0.
+
+    Recursive: the leading half is factored with the trailing columns'
+    mass counted as exit, U12 and L21 come from trsm, and the trailing
+    block is updated by one GEMM.  L and U off-diagonals stay <= 0, so
+    every update adds magnitudes of one sign."""
+    n = len(f)
+    if n <= _LEAF:
+        w = np.empty((n, n + 1))  # the block with its exit column
+        w[:, :n] = g
+        w[:, n] = f
+        for k in range(n):
+            piv = -w[k, k + 1:].sum()
+            w[k, k] = piv
+            col = w[k + 1:, k]
+            col /= piv
+            w[k + 1:, k + 1:] -= np.multiply.outer(col, w[k, k + 1:])
+        g[:] = w[:, :n]
+        return
+    m = n // 2
+    g11, g12, g21, g22 = g[:m, :m], g[:m, m:], g[m:, :m], g[m:, m:]
+    _gth_lu(g11, f[:m] + g12.sum(axis=1))
+    u = blas.dtrsm(1.0, g11, np.column_stack((g12, f[:m])), lower=1, diag=1)
+    g12[:] = u[:, :-1]
+    g21[:] = blas.dtrsm(1.0, g11, g21, side=1)
+    # scipy's BLAS throughout, not numpy's matmul: the two load separate
+    # OpenBLAS builds, and alternating between their thread pools made
+    # the solve three times slower on a 2-core host
+    g22[:] = blas.dgemm(-1.0, g21, g12, 1.0, g22)
+    _gth_lu(g22, blas.dgemv(-1.0, g21, u[:, -1], 1.0, f[m:]))
+
+
+def _add_tridiag(out: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """Add diags[0..2][j] to out[j, j-1], out[j, j], out[j, j+1] (entries
+    that would leave the matrix are dropped) and return out."""
+    r = np.arange(len(out))
+    out[r[1:], r[:-1]] += diags[0, 1:]
+    out[r, r] += diags[1]
+    out[r[:-1], r[1:]] += diags[2, :-1]
+    return out
 
 
 def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
     """Stationary distribution of the chain censored to {0..N}^2 (outward
-    mass renormalized into each row), by subtraction-free elimination (GTH)
-    exploiting the banded structure of the lexicographic state order.
+    mass renormalized into each row), by linear level reduction with
+    subtraction-free (GTH) block elimination.
 
-    Every arithmetic operation is an addition, multiplication or division of
-    nonnegative numbers, so the stationary vector keeps componentwise
-    relative accuracy at any magnitude, which the tail fits require.
+    The walk is skip-free, so the chain is block tridiagonal in the level i.
+    Levels N..1 are eliminated in turn: level i's within-level M-matrix M_i
+    (exit to level i-1 on its diagonal) is factored by `_gth_lu`, and the
+    censored block of level i-1 becomes S = A_{i-1,i-1} + A_{i-1,i}
+    M_i^{-1} A_{i,i-1}.  Level 0 is solved by GTH with state (0, 0) last,
+    then pi_i = pi_{i-1} A_{i-1,i} M_i^{-1} level by level.
+
+    Every arithmetic operation combines numbers of one sign, so the
+    stationary vector keeps componentwise relative accuracy at any
+    magnitude, which the tail fits require.
     """
     require_stable(model)
     if n_grid < 32:
         raise ValueError("grid must be at least 32")
     n = n_grid + 1
     size = n * n
-    band = n + 1  # largest index jump of a skip-free move
     src, tgt, p = _arcs(model, n_grid)
-    chunk = max(256, 2 * band)
-    buf_dim = min(band + 1 + chunk, size)
-
-    def fill_arcs(g: np.ndarray, gbase: int, lo: int, hi: int, cutoff: int) -> None:
-        """Write the original censored arcs u -> v with u, v in [lo, hi] and
-        at least one endpoint below `cutoff` into the dense buffer."""
-        a, b = np.searchsorted(src, (lo, hi + 1))
-        u, v, q = src[a:b], tgt[a:b], p[a:b]
-        keep = (v >= lo) & (v <= hi) & ((u < cutoff) | (v < cutoff))
-        g[u[keep] - gbase, v[keep] - gbase] = q[keep]
-
-    g = np.zeros((buf_dim, buf_dim))
-    base = size - buf_dim
-    fill_arcs(g, base, base, size - 1, size)
-    cols = np.zeros((size, band))  # in-arcs of k at elimination time
-    outs = np.zeros(size)  # surviving out-mass of k at elimination time
-    k = size - 1
-    while k >= 1:
-        k_lo = base + band if base > 0 else 1
-        _elim_span(g, base, k, k_lo, band, cols, outs)
-        k = k_lo - 1
-        if k < 1:
-            break
-        # slide the buffer down a chunk; fill-in lives only in the block of
-        # the band surviving states [base, base + band - 1]
-        new_base = max(base - chunk, 0)
-        shift = base - new_base
-        blk = g[:band, :band].copy()
-        g[:, :] = 0.0
-        g[shift:shift + band, shift:shift + band] = blk
-        fill_arcs(g, new_base, new_base, k, base)
-        base = new_base
-    pi = np.zeros(size)
-    pi[0] = 1.0
-    for k in range(1, size):
-        w = min(band, k)
-        pi[k] = float(np.dot(pi[k - w:k], cols[k, :w])) / outs[k]
+    # a[di + 1, dj + 1, i, j]: probability of the arc (i, j) -> (i + di, j + dj)
+    a = np.zeros((3, 3, n, n))
+    si, sj = np.divmod(src, n)
+    ti, tj = np.divmod(tgt, n)
+    a[ti - si + 1, tj - sj + 1, si, sj] = p
+    lu = np.empty((n, n, n), order="F")  # level i's GTH factor in lu[:, :, i]
+    piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
+    s = _add_tridiag(np.zeros((n, n)), a[1, :, n_grid])
+    for i in range(n_grid, 0, -1):
+        g = lu[:, :, i]
+        np.negative(s, out=g)
+        _gth_lu(g, -a[0, :, i].sum(axis=0))
+        rhs = _add_tridiag(np.zeros((n, n), order="F"), a[0, :, i])
+        x, _ = lapack.dgetrs(g, piv, rhs, overwrite_b=1)
+        up = a[2, :, i - 1]
+        s = up[1][:, None] * x
+        s[1:] += up[0, 1:, None] * x[:-1]
+        s[:-1] += up[2, :-1, None] * x[1:]
+        _add_tridiag(s, a[1, :, i - 1])
+    # level 0 reversed, so that the state left after elimination is (0, 0):
+    # pi_0 is then the last row of L^{-1}
+    g = np.asfortranarray(-s[::-1, ::-1])
+    _gth_lu(g, np.zeros(n))
+    unit = np.zeros((n, 1))
+    unit[-1] = 1.0
+    last, _ = lapack.dtrtrs(g, unit, lower=1, trans=1, unitdiag=1)
+    pi = np.empty((n, n))
+    pi[0] = last[::-1, 0]
+    for i in range(1, n):
+        up = a[2, :, i - 1]
+        b = up[1] * pi[i - 1]
+        b[:-1] += up[0, 1:] * pi[i - 1, 1:]
+        b[1:] += up[2, :-1] * pi[i - 1, :-1]
+        x, _ = lapack.dgetrs(lu[:, :, i], piv, b[:, None], trans=1)
+        pi[i] = x[:, 0]
+    pi = pi.ravel()
     pi /= pi.sum()
     flow = np.bincount(tgt, weights=pi[src] * p, minlength=size)  # pi P
     residual = float(np.abs(flow - pi).sum())

@@ -6,6 +6,8 @@ tail fits converge inside the default window.  Near-tie behavior is covered
 by the purpose-built named models instead.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,23 @@ def double_pole_model():
             (0, 1): alpha, (0, -1): beta, (1, 0): gam, (0, 0): rho}),
         "origin": mm1.origin,
     })
+
+
+def jackson_u1r_closed_form(lam, mu1, p, q) -> tuple[float, float]:
+    """Closed form of the axis-1 extreme crossing for the network:
+    u1 = (-lam + sqrt(lam^2 + 4 lam q mu1 (1 - p q))) / (2 lam q), and
+    u2 = q u1 + 1 - q.  Requires q > 0; at q = 0 the point is (mu1/lam, 1)."""
+    lam, mu1, p, q = float(lam), float(mu1), float(p), float(q)
+    if q <= 0.0:
+        raise ValueError("closed form needs q > 0; use (mu1/lam, 1) at q = 0")
+    u1 = (-lam + math.sqrt(lam * lam + 4.0 * lam * q * mu1 * (1.0 - p * q))) / (2.0 * lam * q)
+    return (u1, q * u1 + 1.0 - q)
+
+
+def zeta_upper_second_derivative(model, axis: int, u: float, h: float = 1e-5) -> float:
+    """Central-difference second derivative of the upper branch."""
+    f = lambda x: float(np.real(qt.zeta_upper(model, axis, x)))
+    return (f(u + h) - 2.0 * f(u) + f(u - h)) / (h * h)
 
 
 def _random_kernel(rng, face, supports):

@@ -9,9 +9,11 @@ import pytest
 
 import qbd_tails as qt
 from qbd_tails.kernel import branch_points, gamma, zeta_lower, \
-    zeta_upper_second_derivative, is_even_discriminant, section_coefficients
+    is_even_discriminant, section_coefficients
 from qbd_tails.netgen import JacksonSimParams
 from qbd_tails.oracle import extract, fit_tail, solve_truncated, verify_model
+
+from conftest import zeta_upper_second_derivative
 
 
 def _report(num, ok, detail=""):

@@ -9,6 +9,7 @@ import qbd_tails as qt
 from qbd_tails.geometry import (
     EQ_TOL,
     GeometryError,
+    _axis_geometry,
     _upper_envelope_max,
     classify,
     compute_geometry,
@@ -16,11 +17,12 @@ from qbd_tails.geometry import (
     domain_contains,
     extreme_max,
     extreme_r,
-    gamma_point,
     sample_boundary,
 )
 from qbd_tails.kernel import gamma, zeta_upper
 from qbd_tails.model import UnstableModelError
+
+from conftest import jackson_u1r_closed_form
 
 NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch",
          "x_shaped", "tangent", "degenerate_tangent", "double_pole")
@@ -71,7 +73,7 @@ def test_extreme_r_product(product):
 
 def test_extreme_r_network_closed_form(jackson_paper):
     got = extreme_r(jackson_paper, 1)
-    want = qt.jackson_u1r_closed_form(1, 5, 0.25, 0.4)
+    want = jackson_u1r_closed_form(1, 5, 0.25, 0.4)
     assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -112,6 +114,12 @@ def test_extreme_max_symmetric_model(x_shaped):
     bp = qt.branch_points(x_shaped, 1)
     assert extreme_max(x_shaped, 1)[0] == pytest.approx(
         max(bp.all_quartic_roots), abs=1e-12)
+
+
+def gamma_point(model, axis):
+    """The effective singularity driver: the crossing point when the face
+    function exceeds one at the branch point, else the branch point."""
+    return _axis_geometry(model, axis).u_gamma
 
 
 def test_gamma_point_product(product):

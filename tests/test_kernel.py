@@ -16,8 +16,9 @@ from qbd_tails.kernel import (
     section_coefficients,
     zeta_lower,
     zeta_upper,
-    zeta_upper_second_derivative,
 )
+
+from conftest import zeta_upper_second_derivative
 
 
 def _sample_complex(rng, lo, hi, n):

@@ -8,6 +8,8 @@ import pytest
 import qbd_tails as qt
 from qbd_tails.netgen import JacksonSimParams
 
+from conftest import jackson_u1r_closed_form
+
 
 def test_jackson_interior_masses():
     m = qt.jackson_model(1, 5, 4, 0.25, 0.4)
@@ -51,17 +53,17 @@ def test_jackson_rejects_bad_parameters():
 
 
 def test_u1r_closed_form_values():
-    u1, u2 = qt.jackson_u1r_closed_form(1, 5, 0.25, 0.4)
+    u1, u2 = jackson_u1r_closed_form(1, 5, 0.25, 0.4)
     assert u1 == pytest.approx((-1 + math.sqrt(8.2)) / 0.8, rel=1e-15)
     assert u2 == pytest.approx(0.4 * u1 + 0.6, rel=1e-15)
     assert (u1, u2) == pytest.approx((2.329455, 1.531782), abs=1e-6)
 
 
 def test_u1r_closed_form_q_to_zero_limit():
-    u1, _ = qt.jackson_u1r_closed_form(1, 5, 0.25, 1e-8)
+    u1, _ = jackson_u1r_closed_form(1, 5, 0.25, 1e-8)
     assert u1 == pytest.approx(5.0, abs=1e-5)
     with pytest.raises(ValueError):
-        qt.jackson_u1r_closed_form(1, 5, 0.25, 0.0)
+        jackson_u1r_closed_form(1, 5, 0.25, 0.0)
 
 
 def test_u1r_closed_form_matches_geometry_grid():
@@ -74,7 +76,7 @@ def test_u1r_closed_form_matches_geometry_grid():
                 if not prm.stable():
                     continue
                 m = qt.jackson_model(lam, mu1, mu2, p, q)
-                want = qt.jackson_u1r_closed_form(lam, mu1, p, q)
+                want = jackson_u1r_closed_form(lam, mu1, p, q)
                 assert qt.extreme_r(m, 1) == pytest.approx(want, abs=1e-8)
                 checked += 1
     assert checked > 100

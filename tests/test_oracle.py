@@ -2,12 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import qbd_tails as qt
+from qbd_tails.model import ValidatedModel, require_stable
 from qbd_tails.oracle import (
+    EmpiricalStationaryDistribution,
     TailSequence,
+    _arcs,
     censored_matrix,
     extract,
     fit_tail,
@@ -47,11 +51,148 @@ def test_solver_matches_product_form(product):
     dist = solve_truncated(product, 64)
     assert dist.residual < 1e-11
     assert dist.pi.sum() == pytest.approx(1.0, abs=1e-12)
-    i = np.arange(65)
-    closed = (4.0 / 9.0) * np.outer((1 / 3.0) ** i, (1 / 3.0) ** i)
-    assert np.abs(dist.pi[:33, :33] - closed[:33, :33]).max() < 1e-12
-    # componentwise relative accuracy deep in the tail
-    assert dist.pi[40, 0] == pytest.approx(closed[40, 0], rel=1e-10)
+    # censoring keeps detailed balance, so pi(i, j) is proportional to
+    # 3^-(i+j) times the in-grid row sum, which misses the arrivals at N
+    k = np.arange(65)
+    sums = 1.0 - 0.1 * (k[:, None] == 64) - 0.15 * (k[None, :] == 64)
+    want = np.outer(3.0 ** -k, 3.0 ** -k) * sums
+    want /= want.sum()
+    assert np.abs(dist.pi / want - 1.0).max() < 1e-12
+
+
+def _elim_span(g, base, k_hi, k_lo, band, cols, outs):
+    tmp = np.empty((band, band))
+    for k in range(k_hi, k_lo - 1, -1):
+        t = k - base
+        w = band if k >= band else k
+        lo = t - w
+        out_row = g[t, lo:t]
+        in_col = g[lo:t, t]
+        sk = out_row.sum()
+        outs[k] = sk
+        cols[k, :w] = in_col
+        if sk > 0.0:
+            blk = tmp[:w, :w]
+            np.multiply(in_col[:, None], out_row[None, :], out=blk)
+            blk /= sk
+            g[lo:t, lo:t] += blk
+
+
+def _solve_banded(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
+    """Reference: the banded scalar GTH solver that level reduction
+    replaced.  Stationary distribution of the chain censored to {0..N}^2
+    (outward mass renormalized into each row), by subtraction-free
+    elimination (GTH) exploiting the banded structure of the lexicographic
+    state order.
+
+    Every arithmetic operation is an addition, multiplication or division of
+    nonnegative numbers, so the stationary vector keeps componentwise
+    relative accuracy at any magnitude, which the tail fits require.
+    """
+    require_stable(model)
+    if n_grid < 32:
+        raise ValueError("grid must be at least 32")
+    n = n_grid + 1
+    size = n * n
+    band = n + 1  # largest index jump of a skip-free move
+    src, tgt, p = _arcs(model, n_grid)
+    chunk = max(256, 2 * band)
+    buf_dim = min(band + 1 + chunk, size)
+
+    def fill_arcs(g: np.ndarray, gbase: int, lo: int, hi: int, cutoff: int) -> None:
+        """Write the original censored arcs u -> v with u, v in [lo, hi] and
+        at least one endpoint below `cutoff` into the dense buffer."""
+        a, b = np.searchsorted(src, (lo, hi + 1))
+        u, v, q = src[a:b], tgt[a:b], p[a:b]
+        keep = (v >= lo) & (v <= hi) & ((u < cutoff) | (v < cutoff))
+        g[u[keep] - gbase, v[keep] - gbase] = q[keep]
+
+    g = np.zeros((buf_dim, buf_dim))
+    base = size - buf_dim
+    fill_arcs(g, base, base, size - 1, size)
+    cols = np.zeros((size, band))  # in-arcs of k at elimination time
+    outs = np.zeros(size)  # surviving out-mass of k at elimination time
+    k = size - 1
+    while k >= 1:
+        k_lo = base + band if base > 0 else 1
+        _elim_span(g, base, k, k_lo, band, cols, outs)
+        k = k_lo - 1
+        if k < 1:
+            break
+        # slide the buffer down a chunk; fill-in lives only in the block of
+        # the band surviving states [base, base + band - 1]
+        new_base = max(base - chunk, 0)
+        shift = base - new_base
+        blk = g[:band, :band].copy()
+        g[:, :] = 0.0
+        g[shift:shift + band, shift:shift + band] = blk
+        fill_arcs(g, new_base, new_base, k, base)
+        base = new_base
+    pi = np.zeros(size)
+    pi[0] = 1.0
+    for k in range(1, size):
+        w = min(band, k)
+        pi[k] = float(np.dot(pi[k - w:k], cols[k, :w])) / outs[k]
+    pi /= pi.sum()
+    flow = np.bincount(tgt, weights=pi[src] * p, minlength=size)  # pi P
+    residual = float(np.abs(flow - pi).sum())
+    return EmpiricalStationaryDistribution(
+        n_grid=n_grid, pi=pi.reshape(n, n), residual=residual)
+
+
+def test_level_reduction_matches_banded_solver(
+        product, jackson_paper, jackson_q0_geometric, jackson_q0_branch, x_shaped):
+    for model in (product, jackson_paper, jackson_q0_geometric,
+                  jackson_q0_branch, x_shaped):
+        got = solve_truncated(model, 100).pi
+        want = _solve_banded(model, 100).pi
+        assert np.array_equal(got == 0.0, want == 0.0)
+        big = want > 1e-290
+        assert np.abs(got[big] / want[big] - 1.0).max() <= 1e-10
+
+
+def _solve_gth_mp(model, n_grid, dps=40):
+    """Scalar GTH of the censored chain in mpmath at dps digits, on the
+    float64 arcs of `_arcs` taken as exact, eliminating states from the last
+    down with sparse rows.  Returns pi rounded to float64."""
+    n = n_grid + 1
+    size = n * n
+    src, tgt, p = _arcs(model, n_grid)
+    with mpmath.workdps(dps):
+        out = [{} for _ in range(size)]  # out[u][v]: rate u -> v among the states left
+        into = [set() for _ in range(size)]  # sources of arcs into v
+        for u, v, q in zip(src.tolist(), tgt.tolist(), p.tolist()):
+            if u != v:
+                out[u][v] = mpmath.mpf(q)
+                into[v].add(u)
+        ins, sums = [None] * size, [None] * size
+        for k in range(size - 1, 0, -1):
+            row = out[k]
+            sums[k] = mpmath.fsum(row.values())
+            ins[k] = {u: out[u].pop(k) for u in into[k] if u < k}
+            for u, a in ins[k].items():
+                f = a / sums[k]
+                ru = out[u]
+                for v, q in row.items():
+                    if v == u:
+                        continue
+                    if v in ru:
+                        ru[v] += f * q
+                    else:
+                        ru[v] = f * q
+                        into[v].add(u)
+        pi = [mpmath.mpf(1)] + [None] * (size - 1)
+        for k in range(1, size):
+            pi[k] = mpmath.fsum(pi[u] * a for u, a in ins[k].items()) / sums[k]
+        total = mpmath.fsum(pi)
+        return np.array([float(x / total) for x in pi]).reshape(n, n)
+
+
+def test_solver_matches_mpmath_reference(jackson_paper):
+    want = _solve_gth_mp(jackson_paper, 32)
+    got = solve_truncated(jackson_paper, 32).pi
+    assert want.min() > 0.0
+    assert np.abs(got / want - 1.0).max() <= 1e-12
 
 
 def _solve_power(model, n_grid, tol=1e-13, max_sweeps=2_000_000):
