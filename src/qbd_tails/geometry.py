@@ -93,14 +93,11 @@ def extreme_max(model: ValidatedModel, axis: int) -> tuple[float, float]:
     return (ordinate, bp.u_max)
 
 
-def _face_linear_coeffs(model: ValidatedModel, axis: int):
-    """Boundary-face generating function along `axis` is linear in the
-    transverse coordinate: gamma_k = A(z) + B(z) * w.  Returns ascending
-    coefficients of z*A(z) and z*B(z)."""
-    face = "boundary1" if axis == 1 else "boundary2"
-    q = model.kernel(face).matrix()
-    if axis == 2:
-        q = q.T
+def _face_linear_coeffs(model: ValidatedModel):
+    """The boundary-1 generating function is linear in the transverse
+    coordinate: gamma_1 = A(z) + B(z) * w.  Returns ascending coefficients
+    of z*A(z) and z*B(z)."""
+    q = model.boundary1.matrix()
     return q[:, 1].copy(), q[:, 2].copy()  # z*A, z*B
 
 
@@ -112,7 +109,7 @@ def _crossing_poly(model: ValidatedModel) -> np.ndarray:
     P1 = m[:, 2]
     Pm1 = m[:, 0]
     P0 = np.array([-m[0, 1], 1.0 - m[1, 1], -m[2, 1]])
-    a, b = _face_linear_coeffs(model, 1)
+    a, b = _face_linear_coeffs(model)
     nmr = pm.polysub(np.array([0.0, 1.0]), a)  # z - z*A(z)
     poly = pm.polymul(P1, pm.polymul(nmr, nmr))
     poly = pm.polysub(poly, pm.polymul(P0, pm.polymul(nmr, b)))
@@ -124,7 +121,7 @@ def _extreme_r_axis1(model: ValidatedModel) -> tuple[float, float] | None:
     """Outermost crossing (largest abscissa > 1) of the boundary-1 curve
     with the kernel curve, found as a root of the eliminant polynomial."""
     bp = kernel.branch_points(model, 1)
-    a, b = _face_linear_coeffs(model, 1)
+    a, b = _face_linear_coeffs(model)
     candidates: list[tuple[float, float]] = []
 
     def on_curve(u1, u2) -> bool:
@@ -326,7 +323,7 @@ def _curve_gamma_plus(model: ValidatedModel, n: int):
 def _curve_gamma_face(model: ValidatedModel, n: int):
     """Points on the boundary-1 curve over the kernel curve's abscissa range."""
     bp = kernel.branch_points(model, 1)
-    a, b = _face_linear_coeffs(model, 1)
+    a, b = _face_linear_coeffs(model)
     pm = np.polynomial.polynomial
     if not b.any():
         desc = np.trim_zeros(pm.polysub(a, [0.0, 1.0])[::-1], "f")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 FACES = ("interior", "boundary1", "boundary2", "origin")
 
 # mass budget checked at construction time
@@ -52,7 +54,7 @@ def _coerce_prob(value) -> float:
             p = float(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFileError(f"bad probability literal {value!r}") from exc
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         p = float(value)
     else:
         raise ModelFileError(f"bad probability value {value!r}")
@@ -97,7 +99,10 @@ class TransitionKernel:
     def from_probs(cls, face: str, probs: Mapping[tuple[int, int], float] | Iterable):
         items = probs.items() if isinstance(probs, Mapping) else probs
         entries = []
-        for (di, dj), p in (((int(i), int(j)), _coerce_prob(p)) for (i, j), p in items):
+        for (di, dj), p in items:
+            if not (type(di) is int and type(dj) is int):  # a bool is an int too
+                raise ModelFileError(f"{face}: bad increment ({di!r}, {dj!r})")
+            p = _coerce_prob(p)
             if p > 0.0:
                 entries.append((di, dj, p))
         return cls(face, tuple(sorted(entries)))
@@ -120,10 +125,8 @@ class TransitionKernel:
         my = sum(dj * p for _, dj, p in self.entries)
         return (mx, my)
 
-    def matrix(self):
+    def matrix(self) -> np.ndarray:
         """3x3 mass matrix indexed by (di+1, dj+1)."""
-        import numpy as np
-
         m = np.zeros((3, 3))
         for di, dj, p in self.entries:
             m[di + 1, dj + 1] = p
@@ -240,76 +243,50 @@ def _not_in_half_plane(support) -> bool:
     return max(gaps) < math.pi - 1e-9
 
 
+def grid_steps(kernels: Mapping[str, TransitionKernel], n: int) -> np.ndarray:
+    """Step masses of the reflecting chain on the grid {0..n-1}^2: a[di + 1,
+    dj + 1, i, j] is the mass of the step (i, j) -> (i + di, j + dj) in the
+    kernel of the face of (i, j), or zero where the step leaves the grid."""
+    a = np.empty((3, 3, n, n))
+    a[:, :, 1:, 1:] = kernels["interior"].matrix()[:, :, None, None]
+    a[:, :, 1:, 0] = kernels["boundary1"].matrix()[:, :, None]
+    a[:, :, 0, 1:] = kernels["boundary2"].matrix()[:, :, None]
+    a[:, :, 0, 0] = kernels["origin"].matrix()
+    a[0, :, 0] = a[2, :, -1] = 0.0
+    a[:, 0, :, 0] = a[:, 2, :, -1] = 0.0
+    return a
+
+
 _WINDOW = 7  # reflecting-chain reachability window {0..6}^2
 
 
-def _window_edges(kernels: Mapping[str, TransitionKernel]):
-    """Directed edges of the reflecting chain restricted to the window."""
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(_WINDOW):
-        for j in range(_WINDOW):
-            if i == 0 and j == 0:
-                face = "origin"
-            elif j == 0:
-                face = "boundary1"
-            elif i == 0:
-                face = "boundary2"
-            else:
-                face = "interior"
-            outs = []
-            for di, dj in kernels[face].support:
-                ni, nj = i + di, j + dj
-                if 0 <= ni < _WINDOW and 0 <= nj < _WINDOW:
-                    outs.append((ni, nj))
-            edges[(i, j)] = outs
-    return edges
-
-
-def _reachable(edges, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in edges[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def _positive_power(m: np.ndarray, squarings: int) -> bool:
+    """True when m^(2^squarings) > 0 entrywise, for a 0/1 matrix m; entries
+    are clamped to 1 after each squaring, so only the pattern is kept."""
+    for _ in range(squarings):
+        m = np.minimum(m @ m, 1.0)
+    return bool(m.all())
 
 
 def _window_irreducible_aperiodic(kernels) -> tuple[bool, bool]:
-    edges = _window_edges(kernels)
-    fwd = _reachable(edges, (0, 0))
-    rev_edges: dict[tuple[int, int], list[tuple[int, int]]] = {s: [] for s in edges}
-    for s, outs in edges.items():
-        for t in outs:
-            rev_edges[t].append(s)
-    bwd = _reachable(rev_edges, (0, 0))
-    all_states = set(edges)
-    irreducible = fwd == all_states and bwd == all_states
-    if not irreducible:
+    """(irreducible, aperiodic) for the chain on the window, from its
+    adjacency matrix A of size s = 49: irreducible iff (I + A)^64 > 0, as
+    64 >= s - 1; primitive (irreducible and aperiodic) iff A^4096 > 0, as
+    4096 >= (s - 1)^2 + 1 (Wielandt)."""
+    d, si, sj = np.nonzero(grid_steps(kernels, _WINDOW).reshape(9, _WINDOW, _WINDOW))
+    src = si * _WINDOW + sj
+    adj = np.zeros((_WINDOW ** 2, _WINDOW ** 2))
+    adj[src, src + (d // 3 - 1) * _WINDOW + d % 3 - 1] = 1.0
+    if not _positive_power(adj + np.eye(len(adj)), 6):
         return False, False
-    # period = gcd over edges of depth(u) + 1 - depth(v), BFS from (0,0)
-    from collections import deque
-
-    depth = {(0, 0): 0}
-    dq = deque([(0, 0)])
-    while dq:
-        s = dq.popleft()
-        for t in edges[s]:
-            if t not in depth:
-                depth[t] = depth[s] + 1
-                dq.append(t)
-    g = 0
-    for s, outs in edges.items():
-        for t in outs:
-            g = math.gcd(g, abs(depth[s] + 1 - depth[t]))
-    return True, g == 1
+    return True, _positive_power(adj, 12)
 
 
 def validate(kernels: Mapping[str, TransitionKernel]) -> ValidatedModel:
     """Check the structural assumptions and return a ValidatedModel.
 
+    Irreducibility and aperiodicity of the reflecting chain are decided on
+    the window {0..6}^2, from the pattern of `grid_steps(kernels, 7)`.
     Raises ValidationError naming the violated condition:
     interior-walk-irreducible, reflecting-chain-irreducible,
     reflecting-chain-aperiodic, or nonzero-mean-drift.
@@ -364,13 +341,8 @@ def drifts(model: ValidatedModel) -> DriftSet:
     )
 
 
-def check_stability(d: DriftSet | ValidatedModel) -> StabilityVerdict:
+def check_stability(d: DriftSet) -> StabilityVerdict:
     """Three-way drift test for existence of the stationary distribution."""
-    if isinstance(d, ValidatedModel):
-        model = d
-        d = drifts(model)
-    else:
-        model = None
     m1x, m2y = d.m
     ip1 = d.m[0] * d.m1_perp[0] + d.m[1] * d.m1_perp[1]
     ip2 = d.m[0] * d.m2_perp[0] + d.m[1] * d.m2_perp[1]

@@ -13,9 +13,11 @@ import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
 from .asymptotics import DIRECTIONS, AsymptoticClass, classes
-from .model import ValidatedModel, require_stable
+from .model import FACES, ValidatedModel, grid_steps, require_stable
 
 KAPPA_LATTICE = (-1.5, -0.5, 0.0, 1.0)
+# fitted oscillation amplitude |b| above which a plain class fails
+B_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,38 +65,24 @@ class VerificationReport:
     fitted: FittedAsymptotic
 
 
-def _arcs(model: ValidatedModel, n_grid: int
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-grid arcs (src, tgt, p) of the chain censored to {0..N}^2, states
-    numbered lexicographically (i * (N + 1) + j).  Arcs come sorted by
-    source, each source's arcs in kernel-entry order; the outward mass is
-    renormalized back into each row, so every row of p sums to one."""
-    n = n_grid + 1
-    size = n * n
-    si, sj = np.divmod(np.arange(size), n)
-    face = (si > 0) + 2 * (sj > 0)  # index into the tuple below
-    kernels = [model.kernel(f).entries
-               for f in ("origin", "boundary1", "boundary2", "interior")]
-    width = max(len(e) for e in kernels)
-    table = np.zeros((4, width, 3))  # (di, dj, p), zero mass as padding
-    for f, entries in enumerate(kernels):
-        table[f, :len(entries)] = entries
-    di, dj, p = np.moveaxis(table[face], 2, 0)
-    ti = si[:, None] + di.astype(int)
-    tj = sj[:, None] + dj.astype(int)
-    keep = (p > 0.0) & (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
-    src = np.broadcast_to(np.arange(size)[:, None], keep.shape)[keep]
-    tgt = (ti * n + tj)[keep]
-    p = p[keep]
-    return src, tgt, p / np.bincount(src, weights=p, minlength=size)[src]
+def _steps(model: ValidatedModel, n_grid: int) -> np.ndarray:
+    """`grid_steps` of the model on {0..N}^2 with the outward mass
+    renormalized back into each row, so every row sums to one."""
+    a = grid_steps({face: model.kernel(face) for face in FACES}, n_grid + 1)
+    a /= a.sum(axis=(0, 1))
+    return a
 
 
 def censored_matrix(model: ValidatedModel, n_grid: int) -> sp.csr_matrix:
     """Row-stochastic transition matrix of the chain restricted to the grid
-    {0..N}^2, outward mass renormalized back into each row."""
-    size = (n_grid + 1) ** 2
-    src, tgt, p = _arcs(model, n_grid)
-    return sp.csr_matrix((p, (src, tgt)), shape=(size, size))
+    {0..N}^2, states numbered lexicographically (i * (N + 1) + j), outward
+    mass renormalized back into each row."""
+    n = n_grid + 1
+    a = _steps(model, n_grid)
+    si, sj, di, dj = np.nonzero(a.transpose(2, 3, 0, 1))
+    src = si * n + sj
+    return sp.csr_matrix((a[di, dj, si, sj], (src, src + (di - 1) * n + dj - 1)),
+                         shape=(n * n, n * n))
 
 
 _LEAF = 32  # pivots factored one at a time below this block size
@@ -159,6 +147,10 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
     M_i^{-1} A_{i,i-1}.  Level 0 is solved by GTH with state (0, 0) last,
     then pi_i = pi_{i-1} A_{i-1,i} M_i^{-1} level by level.
 
+    The blocks are read off a[di + 1, dj + 1, i, j], the probability of the
+    step (i, j) -> (i + di, j + dj) (`grid_steps` over its row sums), and so
+    is pi P for the residual |pi P - pi|_1: nine shifted adds of a * pi.
+
     Every arithmetic operation combines numbers of one sign, so the
     stationary vector keeps componentwise relative accuracy at any
     magnitude, which the tail fits require.
@@ -167,13 +159,7 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
     if n_grid < 32:
         raise ValueError("grid must be at least 32")
     n = n_grid + 1
-    size = n * n
-    src, tgt, p = _arcs(model, n_grid)
-    # a[di + 1, dj + 1, i, j]: probability of the arc (i, j) -> (i + di, j + dj)
-    a = np.zeros((3, 3, n, n))
-    si, sj = np.divmod(src, n)
-    ti, tj = np.divmod(tgt, n)
-    a[ti - si + 1, tj - sj + 1, si, sj] = p
+    a = _steps(model, n_grid)
     lu = np.empty((n, n, n), order="F")  # level i's GTH factor in lu[:, :, i]
     piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
     s = _add_tridiag(np.zeros((n, n)), a[1, :, n_grid])
@@ -204,12 +190,13 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
         b[1:] += up[2, :-1] * pi[i - 1, :-1]
         x, _ = lapack.dgetrs(lu[:, :, i], piv, b[:, None], trans=1)
         pi[i] = x[:, 0]
-    pi = pi.ravel()
     pi /= pi.sum()
-    flow = np.bincount(tgt, weights=pi[src] * p, minlength=size)  # pi P
-    residual = float(np.abs(flow - pi).sum())
-    return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=pi.reshape(n, n), residual=residual)
+    flow = np.zeros((n + 2, n + 2))  # pi P, padded by the states one step out
+    for di in range(3):
+        for dj in range(3):
+            flow[di:di + n, dj:dj + n] += a[di, dj] * pi
+    residual = float(np.abs(flow[1:-1, 1:-1] - pi).sum())
+    return EmpiricalStationaryDistribution(n_grid=n_grid, pi=pi, residual=residual)
 
 
 def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequence:
@@ -307,7 +294,7 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None,
 
 def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
            tol_rate: float = 5e-3, tol_kappa: float = 0.2,
-           b_threshold: float = 0.05, direction: str = "") -> VerificationReport:
+           direction: str = "") -> VerificationReport:
     """Pass iff the fitted rate, exponent, and oscillation all agree with
     the analytic class within the tolerances.
 
@@ -317,7 +304,7 @@ def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
     constant in [-1, 1] (and survival sums provably damp it)."""
     rate_gap = abs(fitted.rate_hat / analytic.rate - 1.0)
     kappa_gap = abs(fitted.kappa_hat - analytic.kappa)
-    periodic_match = analytic.periodic or abs(fitted.b_hat) <= b_threshold
+    periodic_match = analytic.periodic or abs(fitted.b_hat) <= B_THRESHOLD
     passed = rate_gap < tol_rate and kappa_gap < tol_kappa and periodic_match
     return VerificationReport(
         direction=direction, passed=passed, rate_gap=float(rate_gap),
@@ -328,7 +315,6 @@ def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
 def verify_model(model: ValidatedModel, n_grid: int = 300,
                  window_frac: tuple[float, float] = (0.3, 0.6),
                  tol_rate: float = 5e-3, tol_kappa: float = 0.2,
-                 b_threshold: float = 0.05,
                  dist: EmpiricalStationaryDistribution | None = None,
                  ) -> dict[str, VerificationReport]:
     """Solve once, then fit and verify all five directions."""
@@ -338,6 +324,6 @@ def verify_model(model: ValidatedModel, n_grid: int = 300,
     return {
         direction: verify(analytic[direction],
                           fit_tail(extract(dist, direction), window_frac=window_frac),
-                          tol_rate, tol_kappa, b_threshold, direction)
+                          tol_rate, tol_kappa, direction)
         for direction in DIRECTIONS
     }

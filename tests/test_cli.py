@@ -52,6 +52,30 @@ def test_analyze_invalid_model_names_condition(tmp_path, capsys):
     assert "nonzero-mean-drift" in capsys.readouterr().err
 
 
+_INTERIOR_REST = [[-1, 0, 0.3], [0, 1, 0.15], [0, -1, 0.45]]
+
+
+@pytest.mark.parametrize("face, rows", [
+    ("interior", [[1.5, 0, 0.1], *_INTERIOR_REST]),
+    ("interior", [[True, 0, 0.1], *_INTERIOR_REST]),
+    ("interior", [["a", 0, 0.1], *_INTERIOR_REST]),
+    ("interior", [[None, 0, 0.1], *_INTERIOR_REST]),
+    ("interior", [[[1], 0, 0.1], *_INTERIOR_REST]),
+    ("origin", [[1, 0, True]]),
+])
+def test_analyze_rejects_malformed_entry(face, rows, tmp_path, capsys):
+    # truncated or cast to a number, each bad value reads as increment 1 or
+    # probability 1 and makes a valid model
+    doc = json.loads(PRODUCT_DOC)
+    doc[face] = rows
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("invalid model: ") and err.count("\n") == 1
+
+
 def test_analyze_unstable_still_reports(tmp_path, capsys):
     gen = main(["gen", "jackson", "4", "5", "4", "0.25", "0.4",
                 "--out", str(tmp_path / "m.json")])

@@ -1,12 +1,15 @@
 """Model parsing, validation, drifts, stability, parity flags, swapping."""
 
 import json
+import math
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 import qbd_tails as qt
-from qbd_tails.model import TransitionKernel, validate
+import qbd_tails.model as qm
+from qbd_tails.model import _FACE_OK, _WINDOW, TransitionKernel, validate
 
 PRODUCT_DOC = {
     "interior": [[1, 0, 0.1], [-1, 0, 0.3], [0, 1, 0.15], [0, -1, 0.45]],
@@ -96,6 +99,103 @@ def test_validate_rejects_absorbing_reflection():
     with pytest.raises(qt.ValidationError) as err:
         validate(kernels)
     assert err.value.condition == "reflecting-chain-irreducible"
+
+
+# Reference for the window check of `validate`: reachability by depth-first
+# search and the period from breadth-first depths, independent of `grid_steps`.
+
+
+def _window_edges(kernels: Mapping[str, TransitionKernel]):
+    """Directed edges of the reflecting chain restricted to the window."""
+    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i in range(_WINDOW):
+        for j in range(_WINDOW):
+            if i == 0 and j == 0:
+                face = "origin"
+            elif j == 0:
+                face = "boundary1"
+            elif i == 0:
+                face = "boundary2"
+            else:
+                face = "interior"
+            outs = []
+            for di, dj in kernels[face].support:
+                ni, nj = i + di, j + dj
+                if 0 <= ni < _WINDOW and 0 <= nj < _WINDOW:
+                    outs.append((ni, nj))
+            edges[(i, j)] = outs
+    return edges
+
+
+def _reachable(edges, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        for t in edges[s]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _window_irreducible_aperiodic(kernels) -> tuple[bool, bool]:
+    edges = _window_edges(kernels)
+    fwd = _reachable(edges, (0, 0))
+    rev_edges: dict[tuple[int, int], list[tuple[int, int]]] = {s: [] for s in edges}
+    for s, outs in edges.items():
+        for t in outs:
+            rev_edges[t].append(s)
+    bwd = _reachable(rev_edges, (0, 0))
+    all_states = set(edges)
+    irreducible = fwd == all_states and bwd == all_states
+    if not irreducible:
+        return False, False
+    # period = gcd over edges of depth(u) + 1 - depth(v), BFS from (0,0)
+    from collections import deque
+
+    depth = {(0, 0): 0}
+    dq = deque([(0, 0)])
+    while dq:
+        s = dq.popleft()
+        for t in edges[s]:
+            if t not in depth:
+                depth[t] = depth[s] + 1
+                dq.append(t)
+    g = 0
+    for s, outs in edges.items():
+        for t in outs:
+            g = math.gcd(g, abs(depth[s] + 1 - depth[t]))
+    return True, g == 1
+
+
+def _random_kernels(rng, odd_only: bool):
+    """Uniform masses on a random subset of each face's allowed steps; with
+    odd_only, only steps that change the parity of i + j, so that every
+    irreducible draw is periodic."""
+    kernels = {}
+    for face in qt.FACES:
+        steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                 if _FACE_OK[face](di, dj) and (not odd_only or (di + dj) % 2)]
+        keep = [s for s in steps if rng.random() < 0.6] or steps[:1]
+        kernels[face] = TransitionKernel.from_probs(
+            face, {s: 1.0 / len(keep) for s in keep})
+    return kernels
+
+
+def test_window_verdicts_match_bfs_reference(
+        product, jackson_paper, jackson_q0_geometric, jackson_q0_branch, x_shaped):
+    named = [{face: m.kernel(face) for face in qt.FACES}
+             for m in (product, jackson_paper, jackson_q0_geometric,
+                       jackson_q0_branch, x_shaped)]
+    rng = np.random.default_rng(2012)
+    drawn = [_random_kernels(rng, odd_only=k % 3 == 0) for k in range(3000)]
+    seen = set()
+    for kernels in named + drawn:
+        verdict = qm._window_irreducible_aperiodic(kernels)
+        assert verdict == _window_irreducible_aperiodic(kernels)
+        seen.add(verdict)
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_drifts_product(product):

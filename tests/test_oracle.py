@@ -11,7 +11,6 @@ from qbd_tails.model import ValidatedModel, require_stable
 from qbd_tails.oracle import (
     EmpiricalStationaryDistribution,
     TailSequence,
-    _arcs,
     censored_matrix,
     extract,
     fit_tail,
@@ -95,7 +94,8 @@ def _solve_banded(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDist
     n = n_grid + 1
     size = n * n
     band = n + 1  # largest index jump of a skip-free move
-    src, tgt, p = _arcs(model, n_grid)
+    arcs = censored_matrix(model, n_grid).tocoo()  # sorted by row
+    src, tgt, p = arcs.row, arcs.col, arcs.data
     chunk = max(256, 2 * band)
     buf_dim = min(band + 1 + chunk, size)
 
@@ -153,11 +153,12 @@ def test_level_reduction_matches_banded_solver(
 
 def _solve_gth_mp(model, n_grid, dps=40):
     """Scalar GTH of the censored chain in mpmath at dps digits, on the
-    float64 arcs of `_arcs` taken as exact, eliminating states from the last
-    down with sparse rows.  Returns pi rounded to float64."""
+    float64 entries of `censored_matrix` taken as exact, eliminating states
+    from the last down with sparse rows.  Returns pi rounded to float64."""
     n = n_grid + 1
     size = n * n
-    src, tgt, p = _arcs(model, n_grid)
+    arcs = censored_matrix(model, n_grid).tocoo()
+    src, tgt, p = arcs.row, arcs.col, arcs.data
     with mpmath.workdps(dps):
         out = [{} for _ in range(size)]  # out[u][v]: rate u -> v among the states left
         into = [set() for _ in range(size)]  # sources of arcs into v
