@@ -2,7 +2,8 @@
 truncated-chain oracle, emit domain-plot data, and generate example models.
 
 Exit codes: 0 ok, 1 invalid model or argument, 2 unstable model,
-3 verification failed, 4 the oracle could not fit a tail.
+3 verification failed, 4 the oracle could not fit a tail, 5 the analysis
+failed on a valid model (a geometry or kernel computation).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 from . import asymptotics, geometry, netgen, oracle
+from .geometry import GeometryError
+from .kernel import KernelError
 from .model import (
     ModelFileError,
     UnstableModelError,
@@ -25,6 +28,8 @@ EXIT_INVALID = 1
 EXIT_UNSTABLE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_NO_FIT = 4
+EXIT_ANALYSIS = 5
+ANALYSIS_ERRORS = (GeometryError, KernelError)
 
 
 def _dump(body: dict, fmt: str, out: str | None) -> None:
@@ -70,7 +75,11 @@ def run_analyze(args) -> int:
     except (ModelFileError, ValidationError) as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = asymptotics.full_report(model, source=args.model)
+    try:
+        report = asymptotics.full_report(model, source=args.model)
+    except ANALYSIS_ERRORS as exc:
+        print(f"analysis failed: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     _dump(report.to_dict(), args.format, args.out)
     return EXIT_OK if report.stable else EXIT_UNSTABLE
 
@@ -81,14 +90,19 @@ def run_verify(args) -> int:
     except (ModelFileError, ValidationError) as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = asymptotics.full_report(model, source=args.model)
+    try:
+        report = asymptotics.full_report(model, source=args.model)
+    except ANALYSIS_ERRORS as exc:
+        print(f"analysis failed: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     if not report.stable:
         _dump(report.to_dict(), args.format, args.out)
         return EXIT_UNSTABLE
+    dist = oracle.solve_truncated(model, args.n_grid)
     try:
         reports = oracle.verify_model(
             model, n_grid=args.n_grid, window_frac=tuple(args.window),
-            tol_rate=args.tol_rate, tol_kappa=args.tol_kappa)
+            tol_rate=args.tol_rate, tol_kappa=args.tol_kappa, dist=dist)
     except ValueError as exc:
         print(f"oracle could not fit a tail: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
@@ -109,6 +123,11 @@ def run_verify(args) -> int:
             },
         }
         for name, r in reports.items()
+    }
+    body["oracle"] = {
+        "n_grid": dist.n_grid,
+        "residual": dist.residual,
+        "levels_factored": dist.levels_factored,
     }
     body = asymptotics.round12(body)
     _dump(body, args.format, args.out)
@@ -158,6 +177,9 @@ def run_plot(args) -> int:
     except UnstableModelError as exc:
         print(f"unstable model: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except ANALYSIS_ERRORS as exc:
+        print(f"analysis failed: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ class EmpiricalStationaryDistribution:
     n_grid: int
     pi: np.ndarray  # shape (n_grid + 1, n_grid + 1)
     residual: float  # one-step stationarity defect, L1
+    levels_factored: int  # GTH level factorisations; N + 1 when no factor repeats
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,18 @@ def _add_tridiag(out: np.ndarray, diags: np.ndarray) -> np.ndarray:
     return out
 
 
+def _next_block(g: np.ndarray, piv: np.ndarray, a: np.ndarray, i: int) -> np.ndarray:
+    """The censored block S_{i-1} = A_{i-1,i-1} + A_{i-1,i} M_i^{-1} A_{i,i-1}
+    of level i-1, from level i's GTH factor g."""
+    rhs = _add_tridiag(np.zeros((len(g), len(g)), order="F"), a[0, :, i])
+    x, _ = lapack.dgetrs(g, piv, rhs, overwrite_b=1)
+    up = a[2, :, i - 1]
+    s = up[1][:, None] * x
+    s[1:] += up[0, 1:, None] * x[:-1]
+    s[:-1] += up[2, :-1, None] * x[1:]
+    return _add_tridiag(s, a[1, :, i - 1])
+
+
 def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
     """Stationary distribution of the chain censored to {0..N}^2 (outward
     mass renormalized into each row), by linear level reduction with
@@ -146,6 +159,16 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
     censored block of level i-1 becomes S = A_{i-1,i-1} + A_{i-1,i}
     M_i^{-1} A_{i,i-1}.  Level 0 is solved by GTH with state (0, 0) last,
     then pi_i = pi_{i-1} A_{i-1,i} M_i^{-1} level by level.
+
+    The blocks of levels 1..N-1 are bitwise the same, so there the factor
+    of level i-1 is one fixed function of the factor of level i.  That map
+    converges, and its float64 iterates often end in a cycle, bit for bit
+    (period 24 from level 106 down for the product model at N = 200).
+    Once an interior level's factor equals that of an interior level p
+    above it, every lower level k reuses the factor of level k + p and
+    elimination stops; S_0 is formed from level 1's factor.  The answer is
+    the same as factoring every level, and memory is one n x n factor per
+    distinct level instead of one per level.
 
     The blocks are read off a[di + 1, dj + 1, i, j], the probability of the
     step (i, j) -> (i + di, j + dj) (`grid_steps` over its row sums), and so
@@ -160,20 +183,26 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
         raise ValueError("grid must be at least 32")
     n = n_grid + 1
     a = _steps(model, n_grid)
-    lu = np.empty((n, n, n), order="F")  # level i's GTH factor in lu[:, :, i]
     piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
+    lu = [None] * n  # level i's GTH factor; repeated levels share one array
+    seen = {}  # pivot diagonal -> the interior levels factored with it
     s = _add_tridiag(np.zeros((n, n)), a[1, :, n_grid])
     for i in range(n_grid, 0, -1):
-        g = lu[:, :, i]
+        g = np.empty((n, n), order="F")
         np.negative(s, out=g)
         _gth_lu(g, -a[0, :, i].sum(axis=0))
-        rhs = _add_tridiag(np.zeros((n, n), order="F"), a[0, :, i])
-        x, _ = lapack.dgetrs(g, piv, rhs, overwrite_b=1)
-        up = a[2, :, i - 1]
-        s = up[1][:, None] * x
-        s[1:] += up[0, 1:, None] * x[:-1]
-        s[:-1] += up[2, :-1, None] * x[1:]
-        _add_tridiag(s, a[1, :, i - 1])
+        if i < n_grid:
+            key = g.diagonal().tobytes()
+            j = next((k for k in seen.get(key, ()) if np.array_equal(lu[k], g)), None)
+            if j is not None:  # period j - i from level i down
+                for k in range(i, 0, -1):
+                    lu[k] = lu[k + j - i]
+                s = _next_block(lu[1], piv, a, 1)
+                break
+            seen.setdefault(key, []).append(i)
+        lu[i] = g
+        s = _next_block(g, piv, a, i)
+    levels_factored = n_grid - i + 2  # levels N..i, and level 0 below
     # level 0 reversed, so that the state left after elimination is (0, 0):
     # pi_0 is then the last row of L^{-1}
     g = np.asfortranarray(-s[::-1, ::-1])
@@ -188,7 +217,7 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
         b = up[1] * pi[i - 1]
         b[:-1] += up[0, 1:] * pi[i - 1, 1:]
         b[1:] += up[2, :-1] * pi[i - 1, :-1]
-        x, _ = lapack.dgetrs(lu[:, :, i], piv, b[:, None], trans=1)
+        x, _ = lapack.dgetrs(lu[i], piv, b[:, None], trans=1)
         pi[i] = x[:, 0]
     pi /= pi.sum()
     flow = np.zeros((n + 2, n + 2))  # pi P, padded by the states one step out
@@ -196,7 +225,8 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
         for dj in range(3):
             flow[di:di + n, dj:dj + n] += a[di, dj] * pi
     residual = float(np.abs(flow[1:-1, 1:-1] - pi).sum())
-    return EmpiricalStationaryDistribution(n_grid=n_grid, pi=pi, residual=residual)
+    return EmpiricalStationaryDistribution(
+        n_grid=n_grid, pi=pi, residual=residual, levels_factored=levels_factored)
 
 
 def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequence:

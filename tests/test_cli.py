@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import qbd_tails as qt
+from qbd_tails import asymptotics, geometry
 from qbd_tails.cli import main
 
 PRODUCT_DOC = json.dumps({
@@ -98,6 +99,10 @@ def test_verify_product_exit_zero(product_file, tmp_path):
     assert set(body["verification"]) == {
         "boundary1", "boundary2", "marginal1", "marginal2", "diagonal"}
     assert all(v["passed"] for v in body["verification"].values())
+    oracle = body["oracle"]
+    assert oracle["n_grid"] == 96
+    assert 0.0 <= oracle["residual"] < 1e-11
+    assert 2 <= oracle["levels_factored"] <= 97
 
 
 def test_verify_tight_tolerance_fails(product_file, tmp_path, capsys):
@@ -119,6 +124,22 @@ def test_verify_unfittable_tail_exit_four(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("oracle could not fit a tail:")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "plot"])
+@pytest.mark.parametrize("error", [qt.GeometryError, qt.KernelError])
+def test_analysis_error_exit_five(command, error, product_file, tmp_path,
+                                  monkeypatch, capsys):
+    def fail(model):
+        raise error("no extreme point")
+
+    # asymptotics holds its own reference to compute_geometry
+    monkeypatch.setattr(geometry, "compute_geometry", fail)
+    monkeypatch.setattr(asymptotics, "compute_geometry", fail)
+    code = main([command, "--model", product_file, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err == "analysis failed: no extreme point\n"
 
 
 def test_verify_rejects_bad_window(product_file, capsys):

@@ -5,12 +5,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import qbd_tails as qt
 from qbd_tails.model import ValidatedModel, require_stable
 from qbd_tails.oracle import (
     EmpiricalStationaryDistribution,
     TailSequence,
+    _add_tridiag,
+    _gth_lu,
+    _steps,
     censored_matrix,
     extract,
     fit_tail,
@@ -137,7 +141,8 @@ def _solve_banded(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDist
     flow = np.bincount(tgt, weights=pi[src] * p, minlength=size)  # pi P
     residual = float(np.abs(flow - pi).sum())
     return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=pi.reshape(n, n), residual=residual)
+        n_grid=n_grid, pi=pi.reshape(n, n), residual=residual,
+        levels_factored=n_grid + 1)
 
 
 def test_level_reduction_matches_banded_solver(
@@ -149,6 +154,88 @@ def test_level_reduction_matches_banded_solver(
         assert np.array_equal(got == 0.0, want == 0.0)
         big = want > 1e-290
         assert np.abs(got[big] / want[big] - 1.0).max() <= 1e-10
+
+
+def _solve_levels(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
+    """Reference: level reduction that factors every level, as the solver
+    did before it reused a repeating cycle of level factors."""
+    require_stable(model)
+    if n_grid < 32:
+        raise ValueError("grid must be at least 32")
+    n = n_grid + 1
+    a = _steps(model, n_grid)
+    lu = np.empty((n, n, n), order="F")  # level i's GTH factor in lu[:, :, i]
+    piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
+    s = _add_tridiag(np.zeros((n, n)), a[1, :, n_grid])
+    for i in range(n_grid, 0, -1):
+        g = lu[:, :, i]
+        np.negative(s, out=g)
+        _gth_lu(g, -a[0, :, i].sum(axis=0))
+        rhs = _add_tridiag(np.zeros((n, n), order="F"), a[0, :, i])
+        x, _ = lapack.dgetrs(g, piv, rhs, overwrite_b=1)
+        up = a[2, :, i - 1]
+        s = up[1][:, None] * x
+        s[1:] += up[0, 1:, None] * x[:-1]
+        s[:-1] += up[2, :-1, None] * x[1:]
+        _add_tridiag(s, a[1, :, i - 1])
+    # level 0 reversed, so that the state left after elimination is (0, 0):
+    # pi_0 is then the last row of L^{-1}
+    g = np.asfortranarray(-s[::-1, ::-1])
+    _gth_lu(g, np.zeros(n))
+    unit = np.zeros((n, 1))
+    unit[-1] = 1.0
+    last, _ = lapack.dtrtrs(g, unit, lower=1, trans=1, unitdiag=1)
+    pi = np.empty((n, n))
+    pi[0] = last[::-1, 0]
+    for i in range(1, n):
+        up = a[2, :, i - 1]
+        b = up[1] * pi[i - 1]
+        b[:-1] += up[0, 1:] * pi[i - 1, 1:]
+        b[1:] += up[2, :-1] * pi[i - 1, :-1]
+        x, _ = lapack.dgetrs(lu[:, :, i], piv, b[:, None], trans=1)
+        pi[i] = x[:, 0]
+    pi /= pi.sum()
+    flow = np.zeros((n + 2, n + 2))  # pi P, padded by the states one step out
+    for di in range(3):
+        for dj in range(3):
+            flow[di:di + n, dj:dj + n] += a[di, dj] * pi
+    residual = float(np.abs(flow[1:-1, 1:-1] - pi).sum())
+    return EmpiricalStationaryDistribution(
+        n_grid=n_grid, pi=pi, residual=residual, levels_factored=n_grid + 1)
+
+
+NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch",
+         "x_shaped", "tangent", "degenerate_tangent", "double_pole")
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_cycle_reuse_matches_every_level_factored(name, request):
+    model = request.getfixturevalue(name)
+    for n_grid in (32, 100, 150):
+        got = solve_truncated(model, n_grid)
+        want = _solve_levels(model, n_grid)
+        assert np.array_equal(got.pi, want.pi), (name, n_grid)
+        assert got.residual == want.residual
+        assert 2 <= got.levels_factored <= n_grid + 1
+
+
+@pytest.mark.parametrize("params", [(0.1, 0.3, 0.15, 0.45), (0.001, 0.499, 0.001, 0.499)])
+def test_cycle_reuse_matches_on_the_benchmark_grid(params):
+    model = qt.independent_mm1(*params)
+    got = solve_truncated(model, 200)
+    want = _solve_levels(model, 200)
+    assert np.array_equal(got.pi, want.pi)
+    assert got.residual == want.residual
+    assert got.levels_factored < 201
+
+
+def test_interior_levels_have_the_same_steps(jackson_paper, x_shaped):
+    # the cycle reuse of solve_truncated rests on this: levels 1..N-1 see
+    # the same step masses, bit for bit
+    for model in (jackson_paper, x_shaped):
+        a = _steps(model, 60)
+        for k in range(2, 60):
+            assert np.array_equal(a[:, :, k, :], a[:, :, 1, :]), k
 
 
 def _solve_gth_mp(model, n_grid, dps=40):
