@@ -36,7 +36,6 @@ from .kernel import (
     branch_points,
     discriminant,
     gamma,
-    is_even_discriminant,
     section_coefficients,
     zeta_lower,
     zeta_upper,
@@ -50,7 +49,6 @@ from .geometry import (
     directional_decay,
     domain_contains,
     extreme_max,
-    extreme_r,
     sample_boundary,
 )
 from .asymptotics import (
@@ -80,7 +78,6 @@ from .oracle import (
 from .netgen import (
     JacksonSimParams,
     independent_mm1,
-    jackson_boundary_condition,
     jackson_model,
 )
 

@@ -4,6 +4,9 @@ Each direction (the two boundary rays, the two coordinate marginals, and
 the diagonal) gets a class (rate a, exponent kappa, period-2 flag) meaning
 p(n) ~ const * n^kappa * (1 + b(-1)^n) * a^(-n), with b left unknown in
 [-1, 1] whenever the period-2 factor is present.
+
+Every class of both axes is read off the model's one `Geometry` (the decay
+vector tau and the extreme points of both axes), indexed by k = axis - 1.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .model import (
     check_stability,
     drifts,
     require_stable,
-    swap_coordinates,
 )
 
 
@@ -30,7 +32,6 @@ class AsymptoticClass:
     rate: float  # the a in a^(-n), strictly above 1
     kappa: float  # one of -3/2, -1/2, 0, 1
     periodic: bool  # presence of the (1 + b(-1)^n) factor
-    b_known: float | None  # only set when the dispatch pins b; usually None
     provenance: str
 
     def human(self) -> str:
@@ -104,20 +105,35 @@ def _rel_eq(x: float, y: float) -> bool:
     return abs(x - y) <= EQ_TOL * max(1.0, abs(x), abs(y))
 
 
-def _boundary_case_axis1(model: ValidatedModel) -> tuple[float, str, bool]:
-    """Exponent, case label, and period-2 flag for the axis-1 boundary ray."""
+# the category seen from axis 2: the axis that pins the decay vector swaps
+_MIRROR = {"I": "I", "II": "III", "III": "II"}
+
+
+def _boundary_driven(model: ValidatedModel, axis: int, direction: str,
+                     reason: str | None = None) -> AsymptoticClass:
+    """The `axis` boundary class, relabelled as the class of `direction`."""
+    base = boundary_class(model, axis)
+    reason = reason or base.provenance.split("|", 1)[1]
+    return replace(base, provenance=f"{direction}|boundary-driven|{reason}")
+
+
+def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
+    """Exact asymptotic class of the stationary probabilities on the
+    `axis` boundary ray (all mass on the other coordinate at zero)."""
+    require_stable(model)
+    k = axis - 1
     geo = compute_geometry(model)
     prof = arithmetic_profile(model)
-    g1 = geo.axis1
-    cat = geo.category
-    tau1 = geo.tau[0]
-    gmax = g1.gamma_k_at_max
+    ax = (geo.axis1, geo.axis2)[k]
+    cat = _MIRROR[geo.category] if k else geo.category
+    tau = geo.tau[k]
+    gmax = ax.gamma_k_at_max
     crossing_at_branch = abs(gmax - 1.0) <= EQ_TOL
     driver_is_crossing = gmax > 1.0 + EQ_TOL
     # with no upward mass on the face its curve section is analytic, so a
     # tangency at the branch point leaves a plain simple pole instead of the
     # square-root merger (the merger constant divides by the upward mass)
-    degenerate_tangency = crossing_at_branch and prof.m1_2_zero
+    degenerate_tangency = crossing_at_branch and (prof.m1_2_zero, prof.m2_1_zero)[k]
 
     if cat in ("I", "III"):
         if driver_is_crossing:
@@ -129,7 +145,7 @@ def _boundary_case_axis1(model: ValidatedModel) -> tuple[float, str, bool]:
         else:
             kappa, case = -1.5, "bare-branch"
     else:  # category II: the other axis pins the decay vector
-        if tau1 < g1.u_gamma[0] and not _rel_eq(tau1, g1.u_gamma[0]):
+        if tau < ax.u_gamma[k] and not _rel_eq(tau, ax.u_gamma[k]):
             kappa, case = 0.0, "upstream-pole"
         elif driver_is_crossing:
             kappa, case = 1.0, "double-pole"
@@ -138,102 +154,71 @@ def _boundary_case_axis1(model: ValidatedModel) -> tuple[float, str, bool]:
         else:
             kappa, case = -0.5, "upstream-pole-on-branch"
 
+    # B and C case digits of this axis's own face and of the other face
+    digits = (prof.b_case[1], prof.c_case[1])
+    own, other = digits[k], digits[1 - k]
     periodic = False
     if not prof.va:
-        if prof.b_case == "B2":
+        if own == "2":
             periodic = True
         elif cat in ("I", "III"):
             periodic = kappa == -1.5
         else:
-            periodic = case == "upstream-pole-on-branch" and prof.c_case == "C2"
-    return kappa, f"category-{cat}|{case}", periodic
-
-
-def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
-    """Exact asymptotic class of the stationary probabilities on the
-    `axis` boundary ray (all mass on the other coordinate at zero)."""
-    require_stable(model)
-    work = model if axis == 1 else swap_coordinates(model)
-    kappa, case, periodic = _boundary_case_axis1(work)
-    rate = compute_geometry(work).tau[0]
-    prof = arithmetic_profile(work)
-    arith = "non-arithmetic" if prof.va else prof.b_case + prof.c_case
-    return AsymptoticClass(
-        rate=rate,
-        kappa=kappa,
-        periodic=periodic,
-        b_known=None,
-        provenance=f"boundary{axis}|{arith}|{case}",
-    )
-
-
-def _marginal_axis1(model: ValidatedModel) -> AsymptoticClass:
-    geo = compute_geometry(model)
-    u_g1 = geo.axis1.u_gamma[0]
-    zl = float(np.real(kernel.zeta_lower(model, 2, u_g1)))
-    zu = float(np.real(kernel.zeta_upper(model, 2, u_g1)))
-    tau1 = geo.tau[0]
-    zu_eq1 = abs(zu - 1.0) <= EQ_TOL
-    zl_eq1 = abs(zl - 1.0) <= EQ_TOL
-
-    if zu < 1.0 - EQ_TOL:
-        try:
-            rate = sigma_plus(model, 1)
-            return AsymptoticClass(rate, 0.0, False, None,
-                                   "marginal|unit-line-exits-early")
-        except ValueError:
-            base = boundary_class(model, 1)
-            return replace(base,
-                           provenance="marginal|boundary-driven|sigma-missing-warning")
-    if not zu_eq1 and not zl_eq1:
-        base = boundary_class(model, 1)
-        return replace(base, provenance="marginal|boundary-driven|" +
-                       base.provenance.split("|", 1)[1])
-    if not zu_eq1 and zl_eq1:
-        return AsymptoticClass(tau1, 0.0, False, None,
-                               "marginal|unit-line-through-lower-branch")
-    if zu_eq1 and zl_eq1:
-        return AsymptoticClass(tau1, 0.0, False, None,
-                               "marginal|unit-line-at-branch-point")
-    return AsymptoticClass(tau1, 1.0, False, None,
-                           "marginal|unit-line-through-upper-branch")
+            periodic = case == "upstream-pole-on-branch" and other == "2"
+    arith = "non-arithmetic" if prof.va else f"B{own}C{other}"
+    return AsymptoticClass(rate=tau, kappa=kappa, periodic=periodic,
+                           provenance=f"boundary{axis}|{arith}|category-{cat}|{case}")
 
 
 def marginal_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     """Exact asymptotic class of the `axis` marginal tail."""
     require_stable(model)
-    work = model if axis == 1 else swap_coordinates(model)
-    cls = _marginal_axis1(work)
-    return replace(cls, provenance=f"marginal{axis}|" + cls.provenance.split("|", 1)[1])
+    k = axis - 1
+    name = f"marginal{axis}"
+    geo = compute_geometry(model)
+    u_g = (geo.axis1, geo.axis2)[k].u_gamma[k]
+    zl = float(np.real(kernel.zeta_lower(model, 2 - k, u_g)))
+    zu = float(np.real(kernel.zeta_upper(model, 2 - k, u_g)))
+    tau = geo.tau[k]
+    zu_eq1 = abs(zu - 1.0) <= EQ_TOL
+    zl_eq1 = abs(zl - 1.0) <= EQ_TOL
+
+    if zu < 1.0 - EQ_TOL:
+        try:
+            rate = sigma_plus(model, axis)
+            return AsymptoticClass(rate, 0.0, False, f"{name}|unit-line-exits-early")
+        except ValueError:
+            return _boundary_driven(model, axis, name, "sigma-missing-warning")
+    if not zu_eq1 and not zl_eq1:
+        return _boundary_driven(model, axis, name)
+    if not zu_eq1 and zl_eq1:
+        return AsymptoticClass(tau, 0.0, False, f"{name}|unit-line-through-lower-branch")
+    if zu_eq1 and zl_eq1:
+        return AsymptoticClass(tau, 0.0, False, f"{name}|unit-line-at-branch-point")
+    return AsymptoticClass(tau, 1.0, False, f"{name}|unit-line-through-upper-branch")
 
 
 def diagonal_class(model: ValidatedModel) -> AsymptoticClass:
     """Exact asymptotic class of the tail of the coordinate sum."""
     require_stable(model)
     geo = compute_geometry(model)
-    work = model
-    if geo.tau[0] > geo.tau[1] and not _rel_eq(geo.tau[0], geo.tau[1]):
-        work = swap_coordinates(model)
-        geo = compute_geometry(work)
-    tau1, tau2 = geo.tau
-    u_max1 = geo.axis1.u_max
+    # the axis with the smaller decay rate leads; axis 1 on a tie
+    k = int(geo.tau[0] > geo.tau[1] and not _rel_eq(geo.tau[0], geo.tau[1]))
+    tau, tau_other = geo.tau[k], geo.tau[1 - k]
+    u_max = (geo.axis1, geo.axis2)[k].u_max
     try:
-        sd = sigma_diag(work)
+        sd = sigma_diag(model)
     except ValueError:
-        base = boundary_class(work, 1)
-        return replace(base,
-                       provenance="diagonal|boundary-driven|sigma-missing-warning")
-    if sd < tau1 and not _rel_eq(sd, tau1):
-        return AsymptoticClass(sd, 0.0, False, None, "diagonal|diagonal-exits-early")
-    if sd > tau1 and not _rel_eq(sd, tau1):
-        base = boundary_class(work, 1)
-        return replace(base, provenance="diagonal|boundary-driven|" +
-                       base.provenance.split("|", 1)[1])
-    if not _rel_eq(tau1, u_max1):
-        return AsymptoticClass(sd, 1.0, False, None, "diagonal|double-pole")
-    if _rel_eq(tau1, tau2):
-        return AsymptoticClass(sd, 1.0, False, None, "diagonal|double-pole-symmetric")
-    return AsymptoticClass(sd, 0.0, False, None, "diagonal|pole-at-branch")
+        return _boundary_driven(model, k + 1, "diagonal", "sigma-missing-warning")
+    if sd < tau and not _rel_eq(sd, tau):
+        return AsymptoticClass(sd, 0.0, False, "diagonal|diagonal-exits-early")
+    if sd > tau and not _rel_eq(sd, tau):
+        return _boundary_driven(model, k + 1, "diagonal")
+    if not _rel_eq(tau, u_max):
+        return AsymptoticClass(sd, 1.0, False, "diagonal|double-pole")
+    if _rel_eq(tau, tau_other):
+        return AsymptoticClass(sd, 1.0, False, "diagonal|double-pole-symmetric")
+    return AsymptoticClass(sd, 0.0, False, "diagonal|pole-at-branch")
 
 
 DIRECTIONS = ("boundary1", "boundary2", "marginal1", "marginal2", "diagonal")
@@ -273,7 +258,7 @@ def _class_dict(cls: AsymptoticClass) -> dict:
         "rate": cls.rate,
         "kappa": cls.kappa,
         "periodic": cls.periodic,
-        "b": None if cls.b_known is None else cls.b_known,
+        "b": None,
         "b_note": "unknown in [-1,1], conjectured |b| < 1" if cls.periodic else None,
         "provenance": cls.provenance,
         "human": cls.human(),

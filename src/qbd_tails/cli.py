@@ -29,7 +29,6 @@ EXIT_UNSTABLE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_NO_FIT = 4
 EXIT_ANALYSIS = 5
-ANALYSIS_ERRORS = (GeometryError, KernelError)
 
 
 def _dump(body: dict, fmt: str, out: str | None) -> None:
@@ -70,31 +69,15 @@ def _load(path: str):
 
 
 def run_analyze(args) -> int:
-    try:
-        model = _load(args.model)
-    except (ModelFileError, ValidationError) as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = asymptotics.full_report(model, source=args.model)
-    except ANALYSIS_ERRORS as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    model = _load(args.model)
+    report = asymptotics.full_report(model, source=args.model)
     _dump(report.to_dict(), args.format, args.out)
     return EXIT_OK if report.stable else EXIT_UNSTABLE
 
 
 def run_verify(args) -> int:
-    try:
-        model = _load(args.model)
-    except (ModelFileError, ValidationError) as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = asymptotics.full_report(model, source=args.model)
-    except ANALYSIS_ERRORS as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    model = _load(args.model)
+    report = asymptotics.full_report(model, source=args.model)
     if not report.stable:
         _dump(report.to_dict(), args.format, args.out)
         return EXIT_UNSTABLE
@@ -139,47 +122,36 @@ def run_verify(args) -> int:
 
 
 def run_plot(args) -> int:
-    try:
-        model = _load(args.model)
-    except (ModelFileError, ValidationError) as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    model = _load(args.model)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        for curve, fname in (("gamma_plus", "gamma_plus.csv"),
-                             ("gamma1", "gamma1.csv"),
-                             ("gamma2", "gamma2.csv"),
-                             ("domain", "domain.csv")):
-            sample = geometry.sample_boundary(model, curve, args.n)
-            rows = ["curve,theta1,theta2,u1,u2"]
-            for (t1, t2), (u1, u2) in zip(sample.theta, sample.u):
-                rows.append(f"{curve},{t1:.12g},{t2:.12g},{u1:.12g},{u2:.12g}")
-            (outdir / fname).write_text("\n".join(rows) + "\n")
-        geo = geometry.compute_geometry(model)
-        sig = asymptotics.sigma_points(model)
-        pts = [("u1_r", geo.axis1.u_r), ("u2_r", geo.axis2.u_r),
-               ("u1_max", geo.axis1.u_max_pt), ("u2_max", geo.axis2.u_max_pt),
-               ("u1_gamma", geo.axis1.u_gamma), ("u2_gamma", geo.axis2.u_gamma),
-               ("tau", geo.tau)]
-        if sig.sigma_plus_1 is not None:
-            pts.append(("sigma_plus_1", (sig.sigma_plus_1, 1.0)))
-        if sig.sigma_plus_2 is not None:
-            pts.append(("sigma_plus_2", (1.0, sig.sigma_plus_2)))
-        if sig.sigma_d is not None:
-            pts.append(("sigma_d", (sig.sigma_d, sig.sigma_d)))
-        rows = ["name,u1,u2"]
-        for name, pt in pts:
-            if pt is None:
-                continue
-            rows.append(f"{name},{pt[0]:.12g},{pt[1]:.12g}")
-        (outdir / "points.csv").write_text("\n".join(rows) + "\n")
-    except UnstableModelError as exc:
-        print(f"unstable model: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except ANALYSIS_ERRORS as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    for curve, fname in (("gamma_plus", "gamma_plus.csv"),
+                         ("gamma1", "gamma1.csv"),
+                         ("gamma2", "gamma2.csv"),
+                         ("domain", "domain.csv")):
+        sample = geometry.sample_boundary(model, curve, args.n)
+        rows = ["curve,theta1,theta2,u1,u2"]
+        for (t1, t2), (u1, u2) in zip(sample.theta, sample.u):
+            rows.append(f"{curve},{t1:.12g},{t2:.12g},{u1:.12g},{u2:.12g}")
+        (outdir / fname).write_text("\n".join(rows) + "\n")
+    geo = geometry.compute_geometry(model)
+    sig = asymptotics.sigma_points(model)
+    pts = [("u1_r", geo.axis1.u_r), ("u2_r", geo.axis2.u_r),
+           ("u1_max", geo.axis1.u_max_pt), ("u2_max", geo.axis2.u_max_pt),
+           ("u1_gamma", geo.axis1.u_gamma), ("u2_gamma", geo.axis2.u_gamma),
+           ("tau", geo.tau)]
+    if sig.sigma_plus_1 is not None:
+        pts.append(("sigma_plus_1", (sig.sigma_plus_1, 1.0)))
+    if sig.sigma_plus_2 is not None:
+        pts.append(("sigma_plus_2", (1.0, sig.sigma_plus_2)))
+    if sig.sigma_d is not None:
+        pts.append(("sigma_d", (sig.sigma_d, sig.sigma_d)))
+    rows = ["name,u1,u2"]
+    for name, pt in pts:
+        if pt is None:
+            continue
+        rows.append(f"{name},{pt[0]:.12g},{pt[1]:.12g}")
+    (outdir / "points.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -235,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "gen":
         need = 5 if args.family == "jackson" else 4
         if len(args.params) != need:
@@ -260,6 +231,21 @@ def main(argv=None) -> int:
             return EXIT_INVALID
         return run_plot(args)
     return EXIT_INVALID
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ModelFileError, ValidationError) as exc:
+        print(f"invalid model: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except UnstableModelError as exc:
+        print(f"unstable model: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
+    except (GeometryError, KernelError) as exc:
+        print(f"analysis failed: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
 
 
 if __name__ == "__main__":

@@ -175,17 +175,6 @@ def _extreme_r_axis1(model: ValidatedModel) -> tuple[float, float] | None:
     return max(candidates, key=lambda uw: uw[0])
 
 
-def extreme_r(model: ValidatedModel, axis: int) -> tuple[float, float]:
-    """The extreme point where the face curve and the kernel curve meet with
-    the largest `axis` coordinate (both generating functions equal one)."""
-    pt = _axis_geometry(model, axis).u_r
-    if pt is None:
-        raise GeometryError(
-            f"no boundary crossing with coordinate {axis} above 1 was found")
-    return pt
-
-
-@lru_cache(maxsize=256)
 def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
     require_stable(model)
     bp = kernel.branch_points(model, axis)
@@ -263,8 +252,9 @@ def _upper_envelope_max(model: ValidatedModel, theta1: float) -> float:
     The envelope is concave and peaks at the highest point of the kernel
     curve, the axis-2 branch point: left of it the sup is the peak height,
     right of it the envelope's own value, and beyond u_max1 nothing."""
-    u_peak, v_peak = _axis_geometry(model, 2).u_max_pt
-    if theta1 >= math.log(kernel.branch_points(model, 1).u_max):
+    geo = compute_geometry(model)
+    u_peak, v_peak = geo.axis2.u_max_pt
+    if theta1 >= math.log(geo.axis1.u_max):
         return -math.inf
     if theta1 < math.log(u_peak):
         return math.log(v_peak)

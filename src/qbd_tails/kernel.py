@@ -42,7 +42,6 @@ class BranchPoints:
     u_min: float
     u_max: float
     all_quartic_roots: tuple[float, ...]
-    is_even: bool
 
 
 def gamma(model: ValidatedModel, face: str, u1, u2):
@@ -92,8 +91,7 @@ def discriminant(model: ValidatedModel, axis: int, u):
     return (1.0 - s.p_star0) ** 2 - 4.0 * s.p_star1 * s.p_star_minus1
 
 
-@lru_cache(maxsize=256)
-def _poly_u2D(model: ValidatedModel, axis: int) -> tuple[float, ...]:
+def _poly_u2D(model: ValidatedModel, axis: int) -> np.ndarray:
     """Ascending coefficients of the polynomial u^2 * D_axis(u), degree <= 4."""
     m = _section_matrix(model, axis)
     # u * p_{*k}(u) has ascending coefficients m[:, k+1]
@@ -104,7 +102,7 @@ def _poly_u2D(model: ValidatedModel, axis: int) -> tuple[float, ...]:
     for poly, w in ((np.polynomial.polynomial.polymul(a, a), 1.0),
                     (np.polynomial.polynomial.polymul(b, c), -4.0)):
         out[: poly.size] += w * poly
-    return tuple(out)
+    return out
 
 
 def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -120,8 +118,7 @@ def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def quartic_roots(model: ValidatedModel, axis: int) -> np.ndarray:
     """All real roots of u^2 D_{3-axis}(u) = 0, i.e. the branch abscissas of
     coordinate `axis`; raises if any root fails the realness test."""
-    coeffs = np.array(_poly_u2D(model, 3 - axis))
-    desc = coeffs[::-1]
+    desc = _poly_u2D(model, 3 - axis)[::-1]
     nz = np.nonzero(desc)[0]
     if nz.size == 0 or desc.size - nz[0] - 1 < 2:
         raise KernelError("kernel discriminant polynomial degenerates below degree 2")
@@ -133,12 +130,6 @@ def quartic_roots(model: ValidatedModel, axis: int) -> np.ndarray:
         raise KernelError(
             f"non-real branch-point roots {roots[bad]}; model invalid or numerics failed")
     return np.sort(roots.real)
-
-
-def is_even_discriminant(model: ValidatedModel, axis: int = 2) -> bool:
-    """True iff u^2 D_axis(u) is an even polynomial (odd coefficients vanish)."""
-    c = _poly_u2D(model, axis)
-    return bool(abs(c[1]) < 1e-14 and abs(c[3]) < 1e-14)
 
 
 @lru_cache(maxsize=256)
@@ -169,7 +160,6 @@ def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
         u_min=float(u_min),
         u_max=float(u_max),
         all_quartic_roots=tuple(float(r) for r in roots),
-        is_even=is_even_discriminant(model, 3 - axis),
     )
 
 
@@ -184,7 +174,7 @@ def _sqrt_disc_factors(model: ValidatedModel, axis: int):
     """
     bp = branch_points(model, axis)
     roots = np.array(bp.all_quartic_roots)
-    coeffs = np.array(_poly_u2D(model, 3 - axis))
+    coeffs = _poly_u2D(model, 3 - axis)
     deg = np.nonzero(coeffs)[0][-1]
     lead = coeffs[deg]
     left = roots[roots <= bp.u_min + 1e-13]

@@ -64,13 +64,6 @@ def jackson_model(lam, mu1, mu2, p, q) -> ValidatedModel:
     })
 
 
-def jackson_boundary_condition(lam, mu1, mu2, p) -> bool:
-    """For q = 0: True when the axis-1 boundary decay stays exactly
-    geometric (the crossing is the singularity driver), i.e. mu2 >= mu1 + lam*p;
-    False flags the n^{-3/2} branch-point class."""
-    return float(mu2) >= float(mu1) + float(lam) * float(p)
-
-
 def independent_mm1(l1, m1, l2, m2) -> ValidatedModel:
     """Uniformized pair of independent M/M/1 queues; blocked service fires
     as a self-loop.  Stationary law is product-form geometric with ratios

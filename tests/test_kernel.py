@@ -12,13 +12,12 @@ from qbd_tails.kernel import (
     branch_points,
     discriminant,
     gamma,
-    is_even_discriminant,
     section_coefficients,
     zeta_lower,
     zeta_upper,
 )
 
-from conftest import zeta_upper_second_derivative
+from conftest import is_even_discriminant, zeta_upper_second_derivative
 
 
 def _sample_complex(rng, lo, hi, n):
@@ -106,7 +105,7 @@ def test_branch_points_product(product):
     b2 = 1.0 - math.sqrt(4 * 0.1 * 0.3)
     hi2 = (b2 + math.sqrt(b2 * b2 - 4 * 0.15 * 0.45)) / 0.3
     assert branch_points(product, 2).u_max == pytest.approx(hi2, abs=1e-9)
-    assert not bp1.is_even
+    assert not is_even_discriminant(product, 2)
 
 
 def test_branch_points_symmetric_for_diagonal_interior(x_shaped):
@@ -114,7 +113,7 @@ def test_branch_points_symmetric_for_diagonal_interior(x_shaped):
     roots = np.array(bp.all_quartic_roots)
     assert np.allclose(np.sort(roots), -np.sort(-roots)[::-1] * 1.0)
     assert np.allclose(roots, -roots[::-1])
-    assert bp.is_even
+    assert is_even_discriminant(x_shaped, 2)
     assert bp.u_max == pytest.approx(max(roots))
 
 

@@ -8,7 +8,7 @@ import pytest
 import qbd_tails as qt
 from qbd_tails.netgen import JacksonSimParams
 
-from conftest import jackson_u1r_closed_form
+from conftest import extreme_r, jackson_boundary_condition, jackson_u1r_closed_form
 
 
 def test_jackson_interior_masses():
@@ -77,7 +77,7 @@ def test_u1r_closed_form_matches_geometry_grid():
                     continue
                 m = qt.jackson_model(lam, mu1, mu2, p, q)
                 want = jackson_u1r_closed_form(lam, mu1, p, q)
-                assert qt.extreme_r(m, 1) == pytest.approx(want, abs=1e-8)
+                assert extreme_r(m, 1) == pytest.approx(want, abs=1e-8)
                 checked += 1
     assert checked > 100
 
@@ -92,9 +92,9 @@ def test_stability_grid_matches_closed_form():
 
 
 def test_boundary_condition_values():
-    assert not qt.jackson_boundary_condition(1, 5, 4, 0.25)
-    assert qt.jackson_boundary_condition(1, 2, 5, 0.25)
-    assert qt.jackson_boundary_condition(1, 3, 3, 0.0)  # equality branch
+    assert not jackson_boundary_condition(1, 5, 4, 0.25)
+    assert jackson_boundary_condition(1, 2, 5, 0.25)
+    assert jackson_boundary_condition(1, 3, 3, 0.0)  # equality branch
 
 
 def test_mm1_kernels(product):

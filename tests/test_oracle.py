@@ -384,17 +384,17 @@ def test_fit_rejects_bad_window():
 def test_verify_pass_and_negative_control(product):
     dist = solve_truncated(product, 120)
     fitted = fit_tail(extract(dist, "boundary1"))
-    good = qt.AsymptoticClass(3.0, 0.0, False, None, "test")
+    good = qt.AsymptoticClass(3.0, 0.0, False, "test")
     rep = verify(good, fitted, direction="boundary1")
     assert rep.passed and rep.rate_gap < 5e-3
     # a deliberately wrong exponent class must fail with a visible gap
-    bad = qt.AsymptoticClass(3.0, -1.5, False, None, "test")
+    bad = qt.AsymptoticClass(3.0, -1.5, False, "test")
     rep_bad = verify(bad, fitted, direction="boundary1")
     assert not rep_bad.passed and rep_bad.kappa_gap > 1.0
     # an over-tight rate tolerance must fail somewhere: the diagonal carries
     # genuine truncation bias even though the boundary ray is exact
     fitted_diag = fit_tail(extract(dist, "diagonal"))
-    good_diag = qt.AsymptoticClass(3.0, 1.0, False, None, "test")
+    good_diag = qt.AsymptoticClass(3.0, 1.0, False, "test")
     assert verify(good_diag, fitted_diag, direction="diagonal").passed
     rep_tight = verify(good_diag, fitted_diag, tol_rate=1e-9, direction="diagonal")
     assert not rep_tight.passed
@@ -403,13 +403,13 @@ def test_verify_pass_and_negative_control(product):
 def test_verify_periodic_one_directional():
     fitted = fit_tail(TailSequence(
         "boundary1", 3.0 ** (-np.arange(0, 121, dtype=float)), 120))
-    periodic_cls = qt.AsymptoticClass(3.0, 0.0, True, None, "test")
+    periodic_cls = qt.AsymptoticClass(3.0, 0.0, True, "test")
     # a periodic class with a tiny fitted oscillation is consistent: the
     # oscillation amplitude is free in [-1, 1] and may vanish
     assert verify(periodic_cls, fitted).passed
     n = np.arange(0, 121, dtype=float)
     osc = fit_tail(TailSequence("boundary1", (1 + 0.4 * (-1) ** n) * 3.0 ** -n, 120))
-    plain_cls = qt.AsymptoticClass(3.0, 0.0, False, None, "test")
+    plain_cls = qt.AsymptoticClass(3.0, 0.0, False, "test")
     assert not verify(plain_cls, osc).passed
 
 
