@@ -137,8 +137,12 @@ def test_swap_coherence_of_classes(named, corpus20):
 def test_full_report_computes_geometry_once(jackson_paper, monkeypatch):
     calls = []
     axis_geometry = geometry._axis_geometry
-    monkeypatch.setattr(geometry, "_axis_geometry",
-                        lambda m, axis: calls.append(axis) or axis_geometry(m, axis))
+
+    def counted(m, axis):
+        calls.append(axis)
+        return axis_geometry(m, axis)
+
+    monkeypatch.setattr(geometry, "_axis_geometry", counted)
     geometry.compute_geometry.cache_clear()
     qt.full_report(jackson_paper)
     assert geometry.compute_geometry.cache_info().misses == 1
