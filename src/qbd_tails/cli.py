@@ -9,6 +9,7 @@ failed on a valid model (a geometry or kernel computation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -207,6 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def _run(args) -> int:
     if args.command == "gen":
         need = 5 if args.family == "jackson" else 4
@@ -234,7 +241,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (ModelFileError, ValidationError) as exc:

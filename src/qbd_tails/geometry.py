@@ -85,7 +85,12 @@ def _newton_polish_crossing(model, face, u1, u2, steps=40):
 def extreme_max(model: ValidatedModel, axis: int) -> tuple[float, float]:
     """Rightmost point of the kernel curve along `axis`: (u_max, double root
     of the transverse quadratic there)."""
-    bp = kernel.branch_points(model, axis)
+    return _extreme_max_at(model, axis, kernel.branch_points(model, axis))
+
+
+def _extreme_max_at(model: ValidatedModel, axis: int,
+                    bp: kernel.BranchPoints) -> tuple[float, float]:
+    """extreme_max with the axis-`axis` branch points already solved."""
     s = kernel.section_coefficients(model, 3 - axis, bp.u_max)
     ordinate = float((1.0 - s.p_star0) / (2.0 * s.p_star1))
     if axis == 1:
@@ -117,10 +122,13 @@ def _crossing_poly(model: ValidatedModel) -> np.ndarray:
     return poly
 
 
-def _extreme_r_axis1(model: ValidatedModel) -> tuple[float, float] | None:
+def _extreme_r_axis1(model: ValidatedModel,
+                     bp: kernel.BranchPoints) -> tuple[float, float] | None:
     """Outermost crossing (largest abscissa > 1) of the boundary-1 curve
-    with the kernel curve, found as a root of the eliminant polynomial."""
-    bp = kernel.branch_points(model, 1)
+    with the kernel curve, found as a root of the eliminant polynomial.
+
+    `bp` is the axis-1 branch interval of `model`; swapping the coordinates
+    exchanges the two quartics, so the caller passes the one it solved."""
     a, b = _face_linear_coeffs(model)
     candidates: list[tuple[float, float]] = []
 
@@ -167,7 +175,7 @@ def _extreme_r_axis1(model: ValidatedModel) -> tuple[float, float] | None:
                 if z > 1.0 + 1e-9 and on_curve(z, w):
                     candidates.append((float(z), float(w)))
     # tangency of the face curve at the branch point counts as a crossing
-    u_max_pt = extreme_max(model, 1)
+    u_max_pt = _extreme_max_at(model, 1, bp)
     if abs(kernel.gamma(model, "boundary1", *u_max_pt) - 1.0) <= EQ_TOL:
         candidates.append(u_max_pt)
     if not candidates:
@@ -178,14 +186,14 @@ def _extreme_r_axis1(model: ValidatedModel) -> tuple[float, float] | None:
 def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
     require_stable(model)
     bp = kernel.branch_points(model, axis)
-    u_max_pt = extreme_max(model, axis)
+    u_max_pt = _extreme_max_at(model, axis, bp)
     face = "boundary1" if axis == 1 else "boundary2"
     g_at_max = float(np.real(kernel.gamma(model, face, *u_max_pt)))
     if axis == 2:
-        pt = _extreme_r_axis1(swap_coordinates(model))
+        pt = _extreme_r_axis1(swap_coordinates(model), bp)
         u_r = None if pt is None else (pt[1], pt[0])
     else:
-        u_r = _extreme_r_axis1(model)
+        u_r = _extreme_r_axis1(model, bp)
     if g_at_max > 1.0 + EQ_TOL:
         if u_r is None:
             raise GeometryError(

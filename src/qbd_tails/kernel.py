@@ -106,12 +106,27 @@ def _poly_u2D(model: ValidatedModel, axis: int) -> np.ndarray:
 
 
 def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The roots after exactly _NEWTON_STEPS simultaneous Newton steps on the
+    polynomial with descending coefficients `coeffs_desc`.
+
+    A step is a fixed function of the root vector alone, so once iterate k
+    equals an earlier iterate j bit for bit, every later iterate repeats with
+    period k - j: iterate n >= j equals iterate j + (n - j) % (k - j). The
+    loop stops at the first repeat and reads the last iterate off the
+    recorded cycle, which gives the same bits as running every step.
+    """
     deriv = np.polyder(coeffs_desc)
-    for _ in range(_NEWTON_STEPS):
+    history = [roots]
+    seen = {roots.tobytes(): 0}
+    for k in range(1, _NEWTON_STEPS + 1):
         f = np.polyval(coeffs_desc, roots)
         df = np.polyval(deriv, roots)
         step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
         roots = roots - step
+        j = seen.setdefault(roots.tobytes(), k)
+        if j != k:
+            return history[j + (_NEWTON_STEPS - j) % (k - j)]
+        history.append(roots)
     return roots
 
 

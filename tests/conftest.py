@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qbd_tails as qt
+from qbd_tails import geometry, kernel
 from qbd_tails.geometry import _axis_geometry
 from qbd_tails.kernel import _poly_u2D
 from qbd_tails.model import TransitionKernel, validate
@@ -27,6 +28,14 @@ def extreme_r(model, axis: int) -> tuple[float, float]:
         raise qt.GeometryError(
             f"no boundary crossing with coordinate {axis} above 1 was found")
     return pt
+
+
+def clear_analysis_caches() -> None:
+    """Empty the kernel and geometry caches (and their counts), so that the
+    next report solves every polynomial afresh."""
+    kernel.branch_points.cache_clear()
+    kernel._sqrt_disc_factors.cache_clear()
+    geometry.compute_geometry.cache_clear()
 
 
 def is_even_discriminant(model, axis: int = 2) -> bool:

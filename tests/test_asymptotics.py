@@ -5,11 +5,11 @@ import math
 import pytest
 
 import qbd_tails as qt
-from qbd_tails import geometry
+from qbd_tails import geometry, kernel
 from qbd_tails.asymptotics import classes, sigma_diag, sigma_plus, sigma_points
 from qbd_tails.model import TransitionKernel, UnstableModelError, validate
 
-from conftest import jackson_boundary_condition
+from conftest import clear_analysis_caches, jackson_boundary_condition
 
 
 def test_sigma_plus_product(product):
@@ -147,6 +147,16 @@ def test_full_report_computes_geometry_once(jackson_paper, monkeypatch):
     qt.full_report(jackson_paper)
     assert geometry.compute_geometry.cache_info().misses == 1
     assert sorted(calls) == [1, 2]
+
+
+@pytest.mark.parametrize("fixture", ["jackson_paper", "x_shaped"])
+def test_full_report_solves_one_quartic_per_axis(fixture, request):
+    # the face-2 crossing reuses the axis-2 quartic instead of solving the
+    # swapped model's axis-1 quartic, which is the same polynomial
+    model = request.getfixturevalue(fixture)
+    clear_analysis_caches()
+    qt.full_report(model)
+    assert kernel.branch_points.cache_info().misses == 2
 
 
 def test_marginal_class_product(product):

@@ -241,6 +241,19 @@ def test_plot_unstable_exit_two(tmp_path):
                  "--out", str(tmp_path / "p")]) == 2
 
 
+def test_repeated_calls_answer_alike(product_file, capsys):
+    # main reuses one parser, so a call must not change how the next parses
+    answers = []
+    for _ in range(2):
+        assert main(["analyze", "--model", product_file, "--format", "text"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 2
+        answers.append(capsys.readouterr())
+    assert answers[0] == answers[1]
+    assert "the following arguments are required: --model" in answers[0].err
+
+
 def test_console_script_entry_point(product_file):
     proc = subprocess.run(
         [sys.executable, "-m", "qbd_tails.cli", "analyze", "--model",

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import qbd_tails as qt
+from qbd_tails import kernel
 from qbd_tails.kernel import (
+    _NEWTON_STEPS,
     _poly_u2D,
     branch_points,
     discriminant,
@@ -17,7 +19,11 @@ from qbd_tails.kernel import (
     zeta_upper,
 )
 
-from conftest import is_even_discriminant, zeta_upper_second_derivative
+from conftest import (
+    clear_analysis_caches,
+    is_even_discriminant,
+    zeta_upper_second_derivative,
+)
 
 
 def _sample_complex(rng, lo, hi, n):
@@ -316,3 +322,67 @@ def test_face_pole_merger_constant(tangent):
         denom = 1.0 - float(gamma(tangent, "boundary1", z, w))
         ladder.append(math.sqrt(10.0 ** (-k)) / denom)
     assert abs(ladder[-1] - closed) < 1e-3 * abs(closed)
+
+
+def _fixed_step_iterates(coeffs_desc, roots):
+    """Every iterate of the fixed-length Newton loop; the last one is the
+    result _polish_roots must reproduce bit for bit."""
+    deriv = np.polyder(coeffs_desc)
+    iterates = [roots]
+    for _ in range(_NEWTON_STEPS):
+        f = np.polyval(coeffs_desc, roots)
+        df = np.polyval(deriv, roots)
+        step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
+        roots = roots - step
+        iterates.append(roots)
+    return iterates
+
+
+def _repeat_period(iterates):
+    """Period of the first iterate equal to an earlier one, else None."""
+    seen = {}
+    for k, roots in enumerate(iterates):
+        j = seen.setdefault(roots.tobytes(), k)
+        if j != k:
+            return k - j
+    return None
+
+
+def _seeded_networks(count, seed):
+    rng = np.random.default_rng(seed)
+    networks = []
+    while len(networks) < count:
+        lam = float(rng.uniform(0.5, 2.0))
+        p, q = (float(x) for x in rng.uniform(0.05, 0.8, 2))
+        mu1, mu2 = (float(x) for x in rng.uniform(0.5, 12.0, 2))
+        if qt.JacksonSimParams(lam, mu1, mu2, p, q).stable():
+            networks.append(qt.jackson_model(lam, mu1, mu2, p, q))
+    return networks
+
+
+def test_polish_roots_bit_identical_to_fixed_steps(named, corpus20, monkeypatch):
+    calls = []
+    polish = kernel._polish_roots
+
+    def recorded(coeffs_desc, roots):
+        out = polish(coeffs_desc, roots)
+        calls.append((coeffs_desc, roots, out))
+        return out
+
+    monkeypatch.setattr(kernel, "_polish_roots", recorded)
+    networks = _seeded_networks(4, seed=7)
+    seen = set()  # (network?, degree, period of the first repeat)
+    for m in [*named, *corpus20, *networks]:
+        clear_analysis_caches()
+        calls.clear()
+        qt.full_report(m)
+        assert calls
+        for coeffs_desc, roots, got in calls:
+            want = _fixed_step_iterates(coeffs_desc, roots)
+            assert got.dtype == want[-1].dtype
+            assert got.tobytes() == want[-1].tobytes()
+            seen.add((m in networks, coeffs_desc.size - 1, _repeat_period(want)))
+    periods = {period for _, _, period in seen}
+    assert 1 in periods  # a fixed point
+    assert any(p is not None and p >= 2 for p in periods)  # a longer cycle
+    assert (True, 6, None) in seen  # a network sextic that runs every step
