@@ -64,17 +64,6 @@ from .asymptotics import (
     sigma_plus,
     sigma_points,
 )
-from .oracle import (
-    EmpiricalStationaryDistribution,
-    FittedAsymptotic,
-    TailSequence,
-    VerificationReport,
-    extract,
-    fit_tail,
-    solve_truncated,
-    verify,
-    verify_model,
-)
 from .netgen import (
     JacksonSimParams,
     independent_mm1,
@@ -82,3 +71,15 @@ from .netgen import (
 )
 
 __version__ = "0.1.0"
+
+# the oracle, and scipy with it, loads on first use: analyze runs on numpy alone
+_ORACLE = {"EmpiricalStationaryDistribution", "FittedAsymptotic", "TailSequence",
+           "VerificationReport", "extract", "fit_tail", "solve_truncated", "verify",
+           "verify_model"}
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

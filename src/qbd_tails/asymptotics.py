@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernel
 from .geometry import EQ_TOL, compute_geometry
@@ -70,24 +69,25 @@ def sigma_plus(model: ValidatedModel, axis: int) -> float:
 
 
 def sigma_diag(model: ValidatedModel) -> float:
-    """The unique root above 1 of the kernel curve restricted to the diagonal."""
+    """The unique root above 1 of the kernel curve restricted to the diagonal.
+
+    u^2 (gamma(u, u) - 1) is a quartic with the root u = 1; gamma(u, u) is
+    convex on u > 0, so at most one other positive root exists."""
     require_stable(model)
     mx, my = model.interior.mean()
     if mx + my >= 0.0:
         raise ValueError("nonnegative diagonal drift; no diagonal root above 1")
-    geo = compute_geometry(model)
-    ub = max(geo.axis1.u_max, geo.axis2.u_max)
-
-    def g(u: float) -> float:
-        return float(np.real(kernel.gamma(model, "interior", u, u))) - 1.0
-
-    lo = 1.0 + 1e-9
-    if g(lo) >= 0.0:
-        raise ValueError("diagonal section does not drop below 1 beyond u = 1")
-    hi = ub * (1.0 + 1e-12)
-    if g(hi) < 0.0:
-        raise ValueError("diagonal root bracketing failed")
-    return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300))
+    c = np.zeros(5)  # ascending coefficients of u^2 (gamma(u, u) - 1)
+    for di, dj, p in model.interior.entries:
+        c[di + dj + 2] += p
+    c[2] -= 1.0
+    desc = np.trim_zeros(c[::-1], "f")
+    roots = kernel._polish_roots(desc, np.roots(desc))
+    real = abs(roots.imag) < kernel._REAL_ROOT_RTOL * (1.0 + abs(roots.real))
+    above = roots.real[real & (roots.real > 1.0 + 1e-9)]
+    if not above.size:
+        raise ValueError("diagonal section does not return to 1 beyond u = 1")
+    return float(above.min())
 
 
 def sigma_points(model: ValidatedModel) -> SigmaPoints:

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import asymptotics, geometry, netgen, oracle
+from . import asymptotics, geometry, netgen
 from .geometry import GeometryError
 from .kernel import KernelError
 from .model import (
@@ -77,6 +77,7 @@ def run_analyze(args) -> int:
 
 
 def run_verify(args) -> int:
+    from . import oracle  # the oracle, and scipy with it, loads only here
     model = _load(args.model)
     report = asymptotics.full_report(model, source=args.model)
     if not report.stable:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernel
-from .model import ValidatedModel, require_stable, swap_coordinates
+from .model import ValidatedModel, require_stable
 
 EQ_TOL = 1e-9  # equality tolerance for the category and case decisions
 
@@ -52,23 +52,28 @@ class DomainSample:
     u: tuple[tuple[float, float], ...]
 
 
-def _gamma_value_and_grad(model, face, u1, u2):
+def _gamma_value_and_grad(mat, z, w):
+    """A generating function and its gradient at (z, w), from its mass matrix
+    indexed by (dz+1, dw+1), summed in row-major order."""
     g = 0.0
     g1 = 0.0
     g2 = 0.0
-    for di, dj, p in model.kernel(face).entries:
-        t = p * u1 ** di * u2 ** dj
-        g += t
-        g1 += di * t / u1
-        g2 += dj * t / u2
+    for i, row in enumerate(mat.tolist()):
+        for j, p in enumerate(row):
+            if p:
+                t = p * z ** (i - 1) * w ** (j - 1)
+                g += t
+                g1 += (i - 1) * t / z
+                g2 += (j - 1) * t / w
     return g, g1, g2
 
 
-def _newton_polish_crossing(model, face, u1, u2, steps=40):
-    """Newton iteration on (gamma_plus - 1, gamma_face - 1)."""
+def _newton_polish_crossing(m, q, z, w, steps=40):
+    """Newton iteration on (gamma_plus - 1, gamma_face - 1), with the interior
+    and face mass matrices `m` and `q` in the face's own frame."""
     for _ in range(steps):
-        f0, a11, a12 = _gamma_value_and_grad(model, "interior", u1, u2)
-        f1, a21, a22 = _gamma_value_and_grad(model, face, u1, u2)
+        f0, a11, a12 = _gamma_value_and_grad(m, z, w)
+        f1, a21, a22 = _gamma_value_and_grad(q, z, w)
         f0 -= 1.0
         f1 -= 1.0
         det = a11 * a22 - a12 * a21
@@ -76,91 +81,85 @@ def _newton_polish_crossing(model, face, u1, u2, steps=40):
             break
         du1 = (f0 * a22 - f1 * a12) / det
         du2 = (a11 * f1 - a21 * f0) / det
-        u1, u2 = u1 - du1, u2 - du2
+        z, w = z - du1, w - du2
         if abs(f0) < 1e-15 and abs(f1) < 1e-15:
             break
-    return u1, u2
+    return z, w
 
 
 def extreme_max(model: ValidatedModel, axis: int) -> tuple[float, float]:
     """Rightmost point of the kernel curve along `axis`: (u_max, double root
     of the transverse quadratic there)."""
-    return _extreme_max_at(model, axis, kernel.branch_points(model, axis))
-
-
-def _extreme_max_at(model: ValidatedModel, axis: int,
-                    bp: kernel.BranchPoints) -> tuple[float, float]:
-    """extreme_max with the axis-`axis` branch points already solved."""
-    s = kernel.section_coefficients(model, 3 - axis, bp.u_max)
+    u_max = kernel.branch_points(model, axis).u_max
+    s = kernel.section_coefficients(model, 3 - axis, u_max)
     ordinate = float((1.0 - s.p_star0) / (2.0 * s.p_star1))
-    if axis == 1:
-        return (bp.u_max, ordinate)
-    return (ordinate, bp.u_max)
+    return (u_max, ordinate) if axis == 1 else (ordinate, u_max)
 
 
-def _face_linear_coeffs(model: ValidatedModel):
-    """The boundary-1 generating function is linear in the transverse
-    coordinate: gamma_1 = A(z) + B(z) * w.  Returns ascending coefficients
-    of z*A(z) and z*B(z)."""
-    q = model.boundary1.matrix()
+def _face_matrices(model: ValidatedModel, axis: int):
+    """Interior and face-`axis` mass matrices in the face's own frame: rows
+    index the increment along `axis`, columns the transverse increment."""
+    q = model.kernel(f"boundary{axis}").matrix()
+    return kernel._section_matrix(model, 3 - axis), (q if axis == 1 else q.T)
+
+
+def _face_linear_coeffs(model: ValidatedModel, axis: int):
+    """The face-`axis` generating function is linear in the transverse
+    coordinate w: gamma_axis = A(z) + B(z) * w.  Returns ascending
+    coefficients of z*A(z) and z*B(z)."""
+    q = _face_matrices(model, axis)[1]
     return q[:, 1].copy(), q[:, 2].copy()  # z*A, z*B
 
 
-def _crossing_poly(model: ValidatedModel) -> np.ndarray:
+def _vertical_abscissas(a: np.ndarray) -> list[float]:
+    """Real roots of z*A(z) - z: the abscissas of a face curve without upward
+    transverse mass, which is the vertical set A(z) = 1."""
+    desc = np.trim_zeros(np.polynomial.polynomial.polysub(a, [0.0, 1.0])[::-1], "f")
+    return [float(z.real) for z in (np.roots(desc) if desc.size >= 2 else [])
+            if abs(z.imag) <= 1e-10]
+
+
+def _crossing_poly(model: ValidatedModel, axis: int) -> np.ndarray:
     """Ascending coefficients of the degree <= 6 polynomial whose real roots
-    are the abscissas where the boundary-1 curve meets the kernel curve."""
+    are the `axis` coordinates where the face-`axis` curve meets the kernel
+    curve."""
     pm = np.polynomial.polynomial
-    m = model.interior.matrix()
-    P1 = m[:, 2]
-    Pm1 = m[:, 0]
+    m = _face_matrices(model, axis)[0]
     P0 = np.array([-m[0, 1], 1.0 - m[1, 1], -m[2, 1]])
-    a, b = _face_linear_coeffs(model)
+    a, b = _face_linear_coeffs(model, axis)
     nmr = pm.polysub(np.array([0.0, 1.0]), a)  # z - z*A(z)
-    poly = pm.polymul(P1, pm.polymul(nmr, nmr))
+    poly = pm.polymul(m[:, 2], pm.polymul(nmr, nmr))
     poly = pm.polysub(poly, pm.polymul(P0, pm.polymul(nmr, b)))
-    poly = pm.polyadd(poly, pm.polymul(Pm1, pm.polymul(b, b)))
-    return poly
+    return pm.polyadd(poly, pm.polymul(m[:, 0], pm.polymul(b, b)))
 
 
-def _extreme_r_axis1(model: ValidatedModel,
-                     bp: kernel.BranchPoints) -> tuple[float, float] | None:
-    """Outermost crossing (largest abscissa > 1) of the boundary-1 curve
-    with the kernel curve, found as a root of the eliminant polynomial.
+def _extreme_r(model: ValidatedModel, axis: int,
+               bp: kernel.BranchPoints) -> tuple[float, float] | None:
+    """Outermost transversal crossing (largest `axis` coordinate > 1) of the
+    face-`axis` curve with the kernel curve, found as a root of the eliminant
+    polynomial; `bp` is the axis-`axis` branch interval.
 
-    `bp` is the axis-1 branch interval of `model`; swapping the coordinates
-    exchanges the two quartics, so the caller passes the one it solved."""
-    a, b = _face_linear_coeffs(model)
+    The search runs in the face's own frame (z along `axis`, w transverse),
+    whose row-major sums are those of the coordinate-swapped model."""
+    m, q = _face_matrices(model, axis)
+    a, b = _face_linear_coeffs(model, axis)
     candidates: list[tuple[float, float]] = []
 
-    def on_curve(u1, u2) -> bool:
-        if u2 <= 1e-12:
-            return False
-        g = kernel.gamma(model, "interior", u1, u2)
-        gk = kernel.gamma(model, "boundary1", u1, u2)
-        return abs(g - 1.0) < 1e-8 and abs(gk - 1.0) < 1e-8
+    def on_curve(z, w) -> bool:
+        return w > 1e-12 and all(
+            abs(_gamma_value_and_grad(x, z, w)[0] - 1.0) < 1e-8 for x in (m, q))
 
     if not b.any():
-        # no upward mass on the face: its curve is the vertical set A(z) = 1
-        pm = np.polynomial.polynomial
-        poly = pm.polysub(a, np.array([0.0, 1.0]))
-        desc = np.trim_zeros(poly[::-1], "f")
-        roots = np.roots(desc) if desc.size >= 2 else np.array([])
-        for z in roots:
-            if abs(z.imag) > 1e-10:
-                continue
-            z = float(z.real)
+        for z in _vertical_abscissas(a):
             if 1.0 + 1e-9 < z <= bp.u_max * (1 + 1e-12):
                 z = min(z, bp.u_max)
-                w = float(np.real(kernel.zeta_lower(model, 2, z)))
+                w = float(np.real(kernel.zeta_lower(model, 3 - axis, z)))
                 if on_curve(z, w):
                     candidates.append((z, w))
     else:
-        poly = _crossing_poly(model)
-        desc = np.trim_zeros(poly[::-1], "f")
+        desc = np.trim_zeros(_crossing_poly(model, axis)[::-1], "f")
         if desc.size >= 2:
-            roots = np.roots(desc)
-            roots = kernel._polish_roots(desc, roots)
-            for z in roots:
+            for z in kernel._polish_roots(desc, np.roots(desc)):
                 if abs(z.imag) > 1e-8 * (1 + abs(z.real)):
                     continue
                 z = float(z.real)
@@ -171,37 +170,30 @@ def _extreme_r_axis1(model: ValidatedModel,
                 if abs(bz) < 1e-14:
                     continue
                 w = (z - float(np.polynomial.polynomial.polyval(z, a))) / bz
-                z, w = _newton_polish_crossing(model, "boundary1", z, w)
+                z, w = _newton_polish_crossing(m, q, z, w)
                 if z > 1.0 + 1e-9 and on_curve(z, w):
                     candidates.append((float(z), float(w)))
-    # tangency of the face curve at the branch point counts as a crossing
-    u_max_pt = _extreme_max_at(model, 1, bp)
-    if abs(kernel.gamma(model, "boundary1", *u_max_pt) - 1.0) <= EQ_TOL:
-        candidates.append(u_max_pt)
     if not candidates:
         return None
-    return max(candidates, key=lambda uw: uw[0])
+    z, w = max(candidates, key=lambda zw: zw[0])
+    return (z, w) if axis == 1 else (w, z)
 
 
 def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
     require_stable(model)
+    k = axis - 1
     bp = kernel.branch_points(model, axis)
-    u_max_pt = _extreme_max_at(model, axis, bp)
-    face = "boundary1" if axis == 1 else "boundary2"
-    g_at_max = float(np.real(kernel.gamma(model, face, *u_max_pt)))
-    if axis == 2:
-        pt = _extreme_r_axis1(swap_coordinates(model), bp)
-        u_r = None if pt is None else (pt[1], pt[0])
-    else:
-        u_r = _extreme_r_axis1(model, bp)
-    if g_at_max > 1.0 + EQ_TOL:
-        if u_r is None:
-            raise GeometryError(
-                f"face curve exceeds 1 at the axis-{axis} branch point but no "
-                "crossing was found")
-        u_gamma = u_r
-    else:
-        u_gamma = u_max_pt
+    u_max_pt = extreme_max(model, axis)
+    g_at_max = float(np.real(kernel.gamma(model, f"boundary{axis}", *u_max_pt)))
+    u_r = _extreme_r(model, axis, bp)
+    # tangency of the face curve at the branch point counts as a crossing
+    if abs(g_at_max - 1.0) <= EQ_TOL and (u_r is None or u_r[k] < u_max_pt[k]):
+        u_r = u_max_pt
+    crossing_drives = g_at_max > 1.0 + EQ_TOL
+    if crossing_drives and u_r is None:
+        raise GeometryError(
+            f"face curve exceeds 1 at the axis-{axis} branch point but no "
+            "crossing was found")
     return AxisGeometry(
         axis=axis,
         u_min=bp.u_min,
@@ -209,7 +201,7 @@ def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
         u_max_pt=u_max_pt,
         u_r=u_r,
         gamma_k_at_max=g_at_max,
-        u_gamma=u_gamma,
+        u_gamma=u_r if crossing_drives else u_max_pt,
     )
 
 
@@ -318,23 +310,30 @@ def _curve_gamma_plus(model: ValidatedModel, n: int):
                                     kernel.zeta_upper(model, 2, upper)])))
 
 
-def _curve_gamma_face(model: ValidatedModel, n: int):
-    """Points on the boundary-1 curve over the kernel curve's abscissa range."""
-    bp = kernel.branch_points(model, 1)
-    a, b = _face_linear_coeffs(model)
+def _curve_gamma_face(model: ValidatedModel, axis: int, n: int):
+    """Points (z, w) on the face-`axis` curve, z along `axis`, over the kernel
+    curve's range of z."""
+    bp = kernel.branch_points(model, axis)
+    a, b = _face_linear_coeffs(model, axis)
     pm = np.polynomial.polynomial
     if not b.any():
-        desc = np.trim_zeros(pm.polysub(a, [0.0, 1.0])[::-1], "f")
-        roots = [float(z.real) for z in (np.roots(desc) if desc.size >= 2 else [])
-                 if abs(z.imag) < 1e-10 and z.real > 0]
+        roots = [z for z in _vertical_abscissas(a) if z > 0]
         if not roots:
             raise GeometryError("vertical boundary curve has no positive abscissa")
         z = max(roots)
         zc = min(max(z, bp.u_min), bp.u_max)
-        w_lo = float(np.real(kernel.zeta_lower(model, 2, zc)))
-        w_hi = float(np.real(kernel.zeta_upper(model, 2, zc)))
+        w_lo = float(np.real(kernel.zeta_lower(model, 3 - axis, zc)))
+        w_hi = float(np.real(kernel.zeta_upper(model, 3 - axis, zc)))
         return np.full(n, z), np.linspace(max(w_lo, 1e-6), max(w_hi, 1e-3), n)
-    z = np.linspace(bp.u_min, bp.u_max, 8 * n)
+    # the ordinate (z - zA(z)) / zB(z) has zB > 0 and a concave numerator, so
+    # it is positive on one arc, between the numerator's real roots: sample that
+    nmr = pm.polysub([0.0, 1.0], a)
+    lo, hi = bp.u_min, bp.u_max
+    for r in pm.polyroots(nmr):
+        if np.isreal(r) and lo < r.real < hi:
+            rising = pm.polyval(r.real, pm.polyder(nmr)) > 0
+            lo, hi = (float(r.real), hi) if rising else (lo, float(r.real))
+    z = np.linspace(lo, hi, 8 * n)
     bz = pm.polyval(z, b)
     z, bz = z[bz > 0], bz[bz > 0]
     w = (z - pm.polyval(z, a)) / bz
@@ -356,10 +355,9 @@ def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
         raise ValueError("need at least 2 sample points")
     if curve == "gamma_plus":
         u1, u2 = _curve_gamma_plus(model, n)
-    elif curve == "gamma1":
-        u1, u2 = _curve_gamma_face(model, n)
-    elif curve == "gamma2":
-        u2, u1 = _curve_gamma_face(swap_coordinates(model), n)
+    elif curve in ("gamma1", "gamma2"):
+        z, w = _curve_gamma_face(model, int(curve[-1]), n)
+        u1, u2 = (z, w) if curve == "gamma1" else (w, z)
     elif curve == "domain":
         # _upper_envelope_max at every sample, one zeta_upper call
         geo = compute_geometry(model)

@@ -314,8 +314,7 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None,
     even_sel = (ns.astype(int) % 2) == 0
     lre, _, ce, _ = _loglin_fit(ns[even_sel], logv[even_sel], None, alternating=False)
     lro, _, co, _ = _loglin_fit(ns[~even_sel], logv[~even_sel], None, alternating=False)
-    amp_e, amp_o = math.exp(ce), math.exp(co)
-    b_hat = (amp_e - amp_o) / (amp_e + amp_o)
+    b_hat = math.tanh((ce - co) / 2.0)  # (e^ce - e^co) / (e^ce + e^co), overflow-free
     return FittedAsymptotic(
         rate_hat=math.exp(lr), kappa_hat=float(kh), b_hat=float(b_hat),
         window=(n0, n1), residual_norm=resid_norm, kappa_selected=snapped,

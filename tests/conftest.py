@@ -51,6 +51,22 @@ def jackson_boundary_condition(lam, mu1, mu2, p) -> bool:
     return float(mu2) >= float(mu1) + float(lam) * float(p)
 
 
+# a model whose face-2 curve has a positive ordinate only for u2 in
+# (0.914, 1.379), a short arc inside the axis-2 branch interval [0.722, 789.0]
+NARROW_ARC_DOC = {
+    "interior": [[-1, -1, 0.4124815490075364], [-1, 0, 0.15492603698102322],
+                 [-1, 1, 0.009233409151446855], [0, -1, 0.16973674572511416],
+                 [0, 0, 0.15535754897823537], [1, -1, 0.07440153939170652],
+                 [1, 0, 0.02386317076493736]],
+    "boundary1": [[-1, 1, 0.8320716047234478], [1, 0, 0.16415055671799655],
+                  [1, 1, 0.003777838558555614]],
+    "boundary2": [[0, -1, 0.3814752658502777], [0, 0, 0.3069368279168571],
+                  [0, 1, 0.3022267096876198], [1, 0, 0.009361196545245415]],
+    "origin": [[0, 0, 0.0005500346482466145], [0, 1, 0.10932186824531835],
+               [1, 0, 0.890128097106435]],
+}
+
+
 def product_model():
     return qt.independent_mm1(0.1, 0.3, 0.15, 0.45)
 

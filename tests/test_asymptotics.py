@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import qbd_tails as qt
 from qbd_tails import geometry, kernel
 from qbd_tails.asymptotics import classes, sigma_diag, sigma_plus, sigma_points
-from qbd_tails.model import TransitionKernel, UnstableModelError, validate
+from qbd_tails.geometry import compute_geometry
+from qbd_tails.model import TransitionKernel, UnstableModelError, require_stable, validate
 
 from conftest import clear_analysis_caches, jackson_boundary_condition
 
@@ -53,6 +56,54 @@ def test_sigma_diag_swap_invariant(corpus20):
     for m in corpus20[:8]:
         assert sigma_diag(qt.swap_coordinates(m)) == pytest.approx(
             sigma_diag(m), rel=1e-10)
+
+
+def _sigma_diag_brentq(model):
+    """The bracketed root search that sigma_diag replaced, kept as the
+    reference: brentq on gamma(u, u) - 1 over (1, max u_max]."""
+    require_stable(model)
+    mx, my = model.interior.mean()
+    if mx + my >= 0.0:
+        raise ValueError("nonnegative diagonal drift; no diagonal root above 1")
+    geo = compute_geometry(model)
+    ub = max(geo.axis1.u_max, geo.axis2.u_max)
+
+    def g(u: float) -> float:
+        return float(np.real(kernel.gamma(model, "interior", u, u))) - 1.0
+
+    lo = 1.0 + 1e-9
+    if g(lo) >= 0.0:
+        raise ValueError("diagonal section does not drop below 1 beyond u = 1")
+    hi = ub * (1.0 + 1e-12)
+    if g(hi) < 0.0:
+        raise ValueError("diagonal root bracketing failed")
+    return float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300))
+
+
+def test_sigma_diag_matches_bracketed_search(named, corpus20):
+    # the last model drifts forward along the diagonal: no root above 1
+    forward = validate({
+        "interior": TransitionKernel.from_probs("interior", {
+            (1, 0): 0.5, (-1, 0): 0.1, (0, 1): 0.05, (0, -1): 0.35}),
+        "boundary1": TransitionKernel.from_probs("boundary1", {
+            (-1, 0): 0.7, (0, 1): 0.05, (1, 0): 0.05, (0, 0): 0.2}),
+        "boundary2": TransitionKernel.from_probs("boundary2", {
+            (0, -1): 0.5, (1, 0): 0.3, (0, 0): 0.2}),
+        "origin": TransitionKernel.from_probs("origin", {
+            (1, 0): 0.5, (0, 1): 0.2, (0, 0): 0.3}),
+    })
+    models = named + corpus20 + [forward]
+    missing = []
+    for k, m in enumerate(models):
+        try:
+            want = _sigma_diag_brentq(m)
+        except ValueError:
+            missing.append(k)
+            with pytest.raises(ValueError):
+                sigma_diag(m)
+            continue
+        assert sigma_diag(m) == pytest.approx(want, rel=2e-13, abs=0.0)
+    assert missing == [len(models) - 1]
 
 
 def test_sigma_diag_on_diagonal_interior(x_shaped):
@@ -149,11 +200,15 @@ def test_full_report_computes_geometry_once(jackson_paper, monkeypatch):
     assert sorted(calls) == [1, 2]
 
 
-@pytest.mark.parametrize("fixture", ["jackson_paper", "x_shaped"])
+@pytest.mark.parametrize("fixture", ["jackson_paper", "x_shaped", "swapped_degenerate_tangent"])
 def test_full_report_solves_one_quartic_per_axis(fixture, request):
-    # the face-2 crossing reuses the axis-2 quartic instead of solving the
-    # swapped model's axis-1 quartic, which is the same polynomial
-    model = request.getfixturevalue(fixture)
+    # the face-2 crossing is found on the axis-2 quartic, also where the
+    # face-2 curve is vertical (the swapped degenerate tangent) and its
+    # ordinate comes from the lower branch of the kernel curve
+    name = fixture.removeprefix("swapped_")
+    model = request.getfixturevalue(name)
+    if name != fixture:
+        model = qt.swap_coordinates(model)
     clear_analysis_caches()
     qt.full_report(model)
     assert kernel.branch_points.cache_info().misses == 2

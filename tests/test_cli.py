@@ -10,6 +10,8 @@ import qbd_tails as qt
 from qbd_tails import asymptotics, geometry
 from qbd_tails.cli import main
 
+from conftest import NARROW_ARC_DOC
+
 PRODUCT_DOC = json.dumps({
     "interior": [[1, 0, 0.1], [-1, 0, 0.3], [0, 1, 0.15], [0, -1, 0.45]],
     "boundary1": [[1, 0, 0.1], [-1, 0, 0.3], [0, 1, 0.15], [0, 0, 0.45]],
@@ -154,6 +156,42 @@ def test_analysis_error_exit_five(command, error, product_file, tmp_path,
     err = capsys.readouterr().err
     assert code == 5
     assert err == "analysis failed: no extreme point\n"
+
+
+def test_plot_samples_a_narrow_face_arc(tmp_path):
+    # the face-2 curve is positive on a short arc of a long branch interval
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(NARROW_ARC_DOC))
+    assert main(["plot", "--model", str(path), "--out", str(tmp_path / "plot")]) == 0
+    rows = (tmp_path / "plot" / "gamma2.csv").read_text().splitlines()
+    assert len(rows) == 201
+
+
+def test_analyze_and_plot_load_no_scipy(product_file, tmp_path):
+    # scipy serves only the oracle, which analyze and plot never reach
+    script = "\n".join([
+        "import sys",
+        "from qbd_tails.cli import main",
+        f"assert main(['analyze', '--model', {product_file!r}, "
+        f"'--out', {str(tmp_path / 'r.json')!r}]) == 0",
+        f"assert main(['plot', '--model', {product_file!r}, "
+        f"'--out', {str(tmp_path / 'plot')!r}]) == 0",
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_resolves_oracle_names_on_first_use():
+    from qbd_tails import oracle
+
+    for name in ("EmpiricalStationaryDistribution", "FittedAsymptotic", "TailSequence",
+                 "VerificationReport", "extract", "fit_tail", "solve_truncated",
+                 "verify", "verify_model"):
+        assert getattr(qt, name) is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(qt, "no_such_name")
 
 
 def test_verify_rejects_bad_window(product_file, capsys):

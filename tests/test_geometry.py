@@ -1,5 +1,6 @@
 """Extreme points, categories, the decay vector, and the convergence domain."""
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from qbd_tails.geometry import (
 from qbd_tails.kernel import gamma, zeta_upper
 from qbd_tails.model import UnstableModelError
 
-from conftest import extreme_r, jackson_u1r_closed_form
+from conftest import NARROW_ARC_DOC, extreme_r, jackson_u1r_closed_form
 
 def _envelope_by_search(model, theta1):
     """Reference for the domain's upper envelope: sup of log zeta_upper_2
@@ -88,6 +89,14 @@ def test_extreme_r_is_outermost_crossing(corpus20):
         pt = extreme_r(m, 1)
         geo = compute_geometry(m)
         assert pt[0] <= geo.axis1.u_max * (1 + 1e-12)
+
+
+def test_extreme_r_at_a_tangency_is_the_branch_point(degenerate_tangent):
+    # the vertical face curve touches the kernel curve at its rightmost point;
+    # the tangency gives that point itself, not the clipped lower-branch root
+    for m, axis in ((degenerate_tangent, 1), (qt.swap_coordinates(degenerate_tangent), 2)):
+        ax = _axis_geometry(m, axis)
+        assert ax.u_r == ax.u_max_pt
 
 
 def test_extreme_max_product(product):
@@ -235,6 +244,19 @@ def test_sample_boundary_face_curves(product):
         assert len(sample.u) == 50
         for u1, u2 in sample.u:
             assert abs(gamma(product, face, u1, u2) - 1.0) < 1e-9
+
+
+def test_sample_boundary_face_curve_on_a_narrow_arc():
+    m = qt.load_model(json.dumps(NARROW_ARC_DOC))
+    bp = qt.branch_points(m, 2)
+    assert (bp.u_min, bp.u_max) == pytest.approx((0.722, 789.0), rel=1e-3)
+    sample = sample_boundary(m, "gamma2", 200)
+    us = np.array(sample.u)
+    assert len(set(sample.u)) == 200
+    assert (us > 0).all()
+    assert 0.914 < us[:, 1].min() and us[:, 1].max() < 1.38
+    assert np.abs(gamma(m, "boundary2", us[:, 0], us[:, 1]) - 1.0).max() < 1e-8
+    assert np.exp(np.array(sample.theta)) == pytest.approx(us, rel=1e-12)
 
 
 def test_sample_boundary_endpoints_only(product):

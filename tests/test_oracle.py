@@ -360,6 +360,15 @@ def test_fit_oscillation():
     assert abs(f.kappa_hat) < 0.05
 
 
+def test_fit_amplitude_without_overflow():
+    # the even and odd intercepts are near 760, beyond exp's float range;
+    # b_hat = tanh((ce - co) / 2) never forms exp(760)
+    n = np.arange(301.0)
+    f = fit_tail(TailSequence("boundary1", np.exp(760 - 4 * np.maximum(n, 60)), 300))
+    assert f.rate_hat == pytest.approx(math.exp(4), rel=1e-9)
+    assert abs(f.b_hat) < 1e-9
+
+
 def test_fit_structural_period_two():
     n = np.arange(0, 121, dtype=float)
     vals = np.where(n % 2 == 0, 2.0 ** (-n), 0.0)
