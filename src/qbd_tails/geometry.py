@@ -139,8 +139,9 @@ def _extreme_r(model: ValidatedModel, axis: int,
     face-`axis` curve with the kernel curve, found as a root of the eliminant
     polynomial; `bp` is the axis-`axis` branch interval.
 
-    The search runs in the face's own frame (z along `axis`, w transverse),
-    whose row-major sums are those of the coordinate-swapped model."""
+    The search runs in the face's own frame (z along `axis`, w transverse)
+    and sums its matrices in row-major order, so axis 2 of a model gives the
+    same floats as axis 1 of its coordinate swap."""
     m, q = _face_matrices(model, axis)
     a, b = _face_linear_coeffs(model, axis)
     candidates: list[tuple[float, float]] = []
