@@ -4,7 +4,8 @@ Library layout:
 
 - model: kernels per face, validation, drifts, stability, parity structure
 - kernel: generating functions, section quadratics, branch functions/points
-- geometry: extreme points, category, decay vector, convergence domain
+- geometry: extreme points, category, decay vector, sigma roots,
+  convergence domain
 - asymptotics: exact tail classes for boundary, marginal, diagonal directions
 - oracle: censored-chain solver, tail fits, analytic-vs-empirical checks
 - netgen: example model generators
@@ -34,7 +35,6 @@ from .kernel import (
     KernelError,
     SectionCoefficients,
     branch_points,
-    discriminant,
     gamma,
     section_coefficients,
     zeta_lower,
@@ -44,24 +44,24 @@ from .geometry import (
     DomainSample,
     Geometry,
     GeometryError,
+    SigmaPoints,
     classify,
     compute_geometry,
     directional_decay,
     domain_contains,
     extreme_max,
     sample_boundary,
+    sigma_diag,
+    sigma_plus,
 )
 from .asymptotics import (
     AnalysisReport,
     AsymptoticClass,
-    SigmaPoints,
     boundary_class,
     classes,
     diagonal_class,
     full_report,
     marginal_class,
-    sigma_diag,
-    sigma_plus,
     sigma_points,
 )
 from .netgen import (

@@ -6,7 +6,8 @@ p(n) ~ const * n^kappa * (1 + b(-1)^n) * a^(-n), with b left unknown in
 [-1, 1] whenever the period-2 factor is present.
 
 Every class of both axes is read off the model's one `Geometry` (the decay
-vector tau and the extreme points of both axes), indexed by k = axis - 1.
+vector tau, the extreme points of both axes and the sigma roots), indexed
+by k = axis - 1.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernel
-from .geometry import EQ_TOL, compute_geometry
-from .model import (
-    ValidatedModel,
-    arithmetic_profile,
-    check_stability,
-    drifts,
-    require_stable,
+from .geometry import (  # noqa: F401  (the sigma roots are re-exported here)
+    EQ_TOL,
+    SigmaPoints,
+    compute_geometry,
+    sigma_diag,
+    sigma_plus,
 )
+from .model import ValidatedModel, arithmetic_profile, check_stability, drifts
 
 
 @dataclass(frozen=True)
@@ -44,61 +45,9 @@ class AsymptoticClass:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SigmaPoints:
-    sigma_plus_1: float | None
-    sigma_plus_2: float | None
-    sigma_d: float | None
-
-
-def sigma_plus(model: ValidatedModel, axis: int) -> float:
-    """The root above 1 of the kernel curve restricted to the unit line of
-    the other coordinate; closed form: downward over upward aggregate mass."""
-    require_stable(model)
-    m = model.interior.matrix()
-    agg = m.sum(axis=1) if axis == 1 else m.sum(axis=0)  # index di+1 (or dj+1)
-    up, down = float(agg[2]), float(agg[0])
-    if up <= 0.0:
-        raise ValueError("no mass forward along the axis; no root above 1")
-    root = down / up
-    if root <= 1.0 + 1e-12:
-        raise ValueError(
-            f"sigma_plus(axis {axis}) has no root above 1 (root {root:.6g}); "
-            "the marginal decay is governed by the decay vector alone")
-    return root
-
-
-def sigma_diag(model: ValidatedModel) -> float:
-    """The unique root above 1 of the kernel curve restricted to the diagonal.
-
-    u^2 (gamma(u, u) - 1) is a quartic with the root u = 1; gamma(u, u) is
-    convex on u > 0, so at most one other positive root exists."""
-    require_stable(model)
-    mx, my = model.interior.mean()
-    if mx + my >= 0.0:
-        raise ValueError("nonnegative diagonal drift; no diagonal root above 1")
-    c = np.zeros(5)  # ascending coefficients of u^2 (gamma(u, u) - 1)
-    for di, dj, p in model.interior.entries:
-        c[di + dj + 2] += p
-    c[2] -= 1.0
-    desc = np.trim_zeros(c[::-1], "f")
-    roots = kernel._polish_roots(desc, np.roots(desc))
-    real = abs(roots.imag) < kernel._REAL_ROOT_RTOL * (1.0 + abs(roots.real))
-    above = roots.real[real & (roots.real > 1.0 + 1e-9)]
-    if not above.size:
-        raise ValueError("diagonal section does not return to 1 beyond u = 1")
-    return float(above.min())
-
-
 def sigma_points(model: ValidatedModel) -> SigmaPoints:
-    vals = []
-    for f in (lambda: sigma_plus(model, 1), lambda: sigma_plus(model, 2),
-              lambda: sigma_diag(model)):
-        try:
-            vals.append(f())
-        except ValueError:
-            vals.append(None)
-    return SigmaPoints(*vals)
+    """The sigma roots stored with the model's geometry."""
+    return compute_geometry(model).sigma
 
 
 def _rel_eq(x: float, y: float) -> bool:
@@ -120,7 +69,6 @@ def _boundary_driven(model: ValidatedModel, axis: int, direction: str,
 def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     """Exact asymptotic class of the stationary probabilities on the
     `axis` boundary ray (all mass on the other coordinate at zero)."""
-    require_stable(model)
     k = axis - 1
     geo = compute_geometry(model)
     prof = arithmetic_profile(model)
@@ -172,7 +120,6 @@ def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
 
 def marginal_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     """Exact asymptotic class of the `axis` marginal tail."""
-    require_stable(model)
     k = axis - 1
     name = f"marginal{axis}"
     geo = compute_geometry(model)
@@ -184,11 +131,10 @@ def marginal_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     zl_eq1 = abs(zl - 1.0) <= EQ_TOL
 
     if zu < 1.0 - EQ_TOL:
-        try:
-            rate = sigma_plus(model, axis)
-            return AsymptoticClass(rate, 0.0, False, f"{name}|unit-line-exits-early")
-        except ValueError:
+        rate = (geo.sigma.sigma_plus_1, geo.sigma.sigma_plus_2)[k]
+        if rate is None:
             return _boundary_driven(model, axis, name, "sigma-missing-warning")
+        return AsymptoticClass(rate, 0.0, False, f"{name}|unit-line-exits-early")
     if not zu_eq1 and not zl_eq1:
         return _boundary_driven(model, axis, name)
     if not zu_eq1 and zl_eq1:
@@ -200,15 +146,13 @@ def marginal_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
 
 def diagonal_class(model: ValidatedModel) -> AsymptoticClass:
     """Exact asymptotic class of the tail of the coordinate sum."""
-    require_stable(model)
     geo = compute_geometry(model)
     # the axis with the smaller decay rate leads; axis 1 on a tie
     k = int(geo.tau[0] > geo.tau[1] and not _rel_eq(geo.tau[0], geo.tau[1]))
     tau, tau_other = geo.tau[k], geo.tau[1 - k]
     u_max = (geo.axis1, geo.axis2)[k].u_max
-    try:
-        sd = sigma_diag(model)
-    except ValueError:
+    sd = geo.sigma.sigma_d
+    if sd is None:
         return _boundary_driven(model, k + 1, "diagonal", "sigma-missing-warning")
     if sd < tau and not _rel_eq(sd, tau):
         return AsymptoticClass(sd, 0.0, False, "diagonal|diagonal-exits-early")

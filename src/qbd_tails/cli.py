@@ -254,6 +254,9 @@ def main(argv=None) -> int:
     except (GeometryError, KernelError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    except (OSError, UnicodeDecodeError) as exc:  # a model or output path
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

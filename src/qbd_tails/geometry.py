@@ -2,8 +2,10 @@
 
 Computes the extreme points of the kernel curve (rightmost point of the
 curve, crossing with each boundary-face curve), the three-way category
-those points induce, the decay vector tau, membership in the convergence
-domain, rough directional decay rates, and boundary samples for plotting.
+those points induce, the decay vector tau, the sigma roots of the curve's
+sections along the unit lines and the diagonal, membership in the
+convergence domain, rough directional decay rates, and boundary samples
+for plotting.
 """
 
 from __future__ import annotations
@@ -38,11 +40,19 @@ class AxisGeometry:
 
 
 @dataclass(frozen=True)
+class SigmaPoints:
+    sigma_plus_1: float | None
+    sigma_plus_2: float | None
+    sigma_d: float | None
+
+
+@dataclass(frozen=True)
 class Geometry:
     axis1: AxisGeometry
     axis2: AxisGeometry
     category: str  # "I" | "II" | "III"
     tau: tuple[float, float]
+    sigma: SigmaPoints  # None where a root above 1 is missing
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ def _crossing_poly(model: ValidatedModel, axis: int) -> np.ndarray:
     curve."""
     pm = np.polynomial.polynomial
     m = _face_matrices(model, axis)[0]
-    P0 = np.array([-m[0, 1], 1.0 - m[1, 1], -m[2, 1]])
+    P0 = kernel._poly_u_a(m)
     a, b = _face_linear_coeffs(model, axis)
     nmr = pm.polysub(np.array([0.0, 1.0]), a)  # z - z*A(z)
     poly = pm.polymul(m[:, 2], pm.polymul(nmr, nmr))
@@ -236,15 +246,68 @@ def _tau(model: ValidatedModel, category: str, g1: AxisGeometry,
     return (u, float(np.real(kernel.zeta_upper(model, 2, u))))
 
 
+def sigma_plus(model: ValidatedModel, axis: int) -> float:
+    """The root above 1 of the kernel curve restricted to the unit line of
+    the other coordinate; closed form: downward over upward aggregate mass."""
+    require_stable(model)
+    m = model.interior.matrix()
+    agg = m.sum(axis=1) if axis == 1 else m.sum(axis=0)  # index di+1 (or dj+1)
+    up, down = float(agg[2]), float(agg[0])
+    if up <= 0.0:
+        raise ValueError("no mass forward along the axis; no root above 1")
+    root = down / up
+    if root <= 1.0 + 1e-12:
+        raise ValueError(
+            f"sigma_plus(axis {axis}) has no root above 1 (root {root:.6g}); "
+            "the marginal decay is governed by the decay vector alone")
+    return root
+
+
+def sigma_diag(model: ValidatedModel) -> float:
+    """The unique root above 1 of the kernel curve restricted to the diagonal.
+
+    u^2 (gamma(u, u) - 1) is a quartic with the root u = 1; gamma(u, u) is
+    convex on u > 0, so at most one other positive root exists."""
+    require_stable(model)
+    mx, my = model.interior.mean()
+    if mx + my >= 0.0:
+        raise ValueError("nonnegative diagonal drift; no diagonal root above 1")
+    c = np.zeros(5)  # ascending coefficients of u^2 (gamma(u, u) - 1)
+    for di, dj, p in model.interior.entries:
+        c[di + dj + 2] += p
+    c[2] -= 1.0
+    desc = np.trim_zeros(c[::-1], "f")
+    roots = kernel._polish_roots(desc, np.roots(desc))
+    real = abs(roots.imag) < kernel._REAL_ROOT_RTOL * (1.0 + abs(roots.real))
+    above = roots.real[real & (roots.real > 1.0 + 1e-9)]
+    if not above.size:
+        raise ValueError("diagonal section does not return to 1 beyond u = 1")
+    return float(above.min())
+
+
+def _sigma_points(model: ValidatedModel) -> SigmaPoints:
+    vals = []
+    for f in (lambda: sigma_plus(model, 1), lambda: sigma_plus(model, 2),
+              lambda: sigma_diag(model)):
+        try:
+            vals.append(f())
+        except ValueError:
+            vals.append(None)
+    return SigmaPoints(*vals)
+
+
 @lru_cache(maxsize=256)
 def compute_geometry(model: ValidatedModel) -> Geometry:
+    """The extreme points of both axes, the category, the decay vector tau
+    and the sigma roots of a stable model."""
     g1 = _axis_geometry(model, 1)
     g2 = _axis_geometry(model, 2)
     category = classify(g1, g2)
     tau = _tau(model, category, g1, g2)
     if not (tau[0] > 1.0 and tau[1] > 1.0):
         raise GeometryError(f"decay vector {tau} does not dominate (1, 1)")
-    return Geometry(axis1=g1, axis2=g2, category=category, tau=tau)
+    return Geometry(axis1=g1, axis2=g2, category=category, tau=tau,
+                    sigma=_sigma_points(model))
 
 
 def _upper_envelope_max(model: ValidatedModel, theta1: float) -> float:
@@ -313,7 +376,7 @@ def _curve_gamma_plus(model: ValidatedModel, n: int):
 
 def _curve_gamma_face(model: ValidatedModel, axis: int, n: int):
     """Points (z, w) on the face-`axis` curve, z along `axis`, over the kernel
-    curve's range of z."""
+    curve's range of z, or of w where the face curve is a vertical line."""
     bp = kernel.branch_points(model, axis)
     a, b = _face_linear_coeffs(model, axis)
     pm = np.polynomial.polynomial
@@ -321,11 +384,8 @@ def _curve_gamma_face(model: ValidatedModel, axis: int, n: int):
         roots = [z for z in _vertical_abscissas(a) if z > 0]
         if not roots:
             raise GeometryError("vertical boundary curve has no positive abscissa")
-        z = max(roots)
-        zc = min(max(z, bp.u_min), bp.u_max)
-        w_lo = float(np.real(kernel.zeta_lower(model, 3 - axis, zc)))
-        w_hi = float(np.real(kernel.zeta_upper(model, 3 - axis, zc)))
-        return np.full(n, z), np.linspace(max(w_lo, 1e-6), max(w_hi, 1e-3), n)
+        bpw = kernel.branch_points(model, 3 - axis)
+        return np.full(n, max(roots)), np.linspace(bpw.u_min, bpw.u_max, n)
     # the ordinate (z - zA(z)) / zB(z) has zB > 0 and a concave numerator, so
     # it is positive on one arc, between the numerator's real roots: sample that
     nmr = pm.polysub([0.0, 1.0], a)

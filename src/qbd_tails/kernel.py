@@ -2,14 +2,15 @@
 
 For a fixed abscissa the curve gamma_plus(u1, u2) = 1 is a quadratic in the
 other coordinate; this module evaluates the face generating functions, the
-section coefficients of that quadratic, its discriminant, the two branch
-functions (lower/upper root), and the branch points where they coincide.
+section coefficients of that quadratic, the two branch functions
+(lower/upper root), and the branch points where they coincide, with the
+factors of the square root of the discriminant that they cut.
 
 Axis convention. `axis` names the coordinate the quadratic is solved for:
 section_coefficients(model, 2, u) are the u2-quadratic coefficients at
-u1 = u, and discriminant(model, 2, u) is its discriminant D2(u). The
-branch interval of coordinate k (branch_points(model, k)) is the zero set
-of the discriminant of the opposite axis, D_{3-k}.
+u1 = u, with discriminant D2(u). The branch interval of coordinate k
+(branch_points(model, k)) is the zero set of the discriminant of the
+opposite axis, D_{3-k}.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class BranchPoints:
     u_min: float
     u_max: float
     all_quartic_roots: tuple[float, ...]
+    # +sqrt(u^2 D) = sqrt_lead * prod sqrt(u - l) * prod sqrt(r - u)
+    sqrt_lead: float
+    left: tuple[float, ...]  # roots at or below u_min
+    right: tuple[float, ...]  # roots at or above u_max
 
 
 def gamma(model: ValidatedModel, face: str, u1, u2):
@@ -85,19 +90,19 @@ def section_coefficients(model: ValidatedModel, axis: int, u) -> SectionCoeffici
     )
 
 
-def discriminant(model: ValidatedModel, axis: int, u):
-    """D_axis(u) = (1 - p_{*0}(u))^2 - 4 p_{*1}(u) p_{*-1}(u)."""
-    s = section_coefficients(model, axis, u)
-    return (1.0 - s.p_star0) ** 2 - 4.0 * s.p_star1 * s.p_star_minus1
+def _poly_u_a(m: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of u * (1 - p_{*0}(u)) from a section matrix."""
+    return np.array([-m[0, 1], 1.0 - m[1, 1], -m[2, 1]])
 
 
 def _poly_u2D(model: ValidatedModel, axis: int) -> np.ndarray:
-    """Ascending coefficients of the polynomial u^2 * D_axis(u), degree <= 4."""
+    """Ascending coefficients of the polynomial u^2 * D_axis(u), degree <= 4,
+    where D_axis(u) = (1 - p_{*0}(u))^2 - 4 p_{*1}(u) p_{*-1}(u)."""
     m = _section_matrix(model, axis)
     # u * p_{*k}(u) has ascending coefficients m[:, k+1]
     b = m[:, 2]  # u * p_{*1}
     c = m[:, 0]  # u * p_{*-1}
-    a = np.array([-m[0, 1], 1.0 - m[1, 1], -m[2, 1]])  # u * (1 - p_{*0})
+    a = _poly_u_a(m)
     out = np.zeros(5)
     for poly, w in ((np.polynomial.polynomial.polymul(a, a), 1.0),
                     (np.polynomial.polynomial.polymul(b, c), -4.0)):
@@ -130,80 +135,65 @@ def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return roots
 
 
-def quartic_roots(model: ValidatedModel, axis: int) -> np.ndarray:
-    """All real roots of u^2 D_{3-axis}(u) = 0, i.e. the branch abscissas of
-    coordinate `axis`; raises if any root fails the realness test."""
-    desc = _poly_u2D(model, 3 - axis)[::-1]
-    nz = np.nonzero(desc)[0]
-    if nz.size == 0 or desc.size - nz[0] - 1 < 2:
+@lru_cache(maxsize=256)
+def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
+    """Branch interval [u_min, u_max] of coordinate `axis` on the kernel
+    curve, bracketed among the real roots of the quartic u^2 D_{3-axis}(u),
+    with the factors of its square root.
+
+    The bracket is the unique adjacent pair of positive roots between which
+    the discriminant is positive and the transverse roots are positive
+    (midpoint test on u^2 D and on u (1 - p_{*0}), which share the signs
+    of D and 1 - p_{*0} for u > 0).
+
+    Gluing the principal square roots factor by factor, over the roots left
+    of the interval and those right of it, keeps +sqrt(u^2 D) continuous off
+    the two real cuts (-inf, u_min] and [u_max, inf), where a naive
+    principal-branch sqrt of D would jump across the negative real axis.
+    """
+    coeffs = _poly_u2D(model, 3 - axis)
+    desc = np.trim_zeros(coeffs[::-1], "f")
+    if desc.size < 3:
         raise KernelError("kernel discriminant polynomial degenerates below degree 2")
-    desc = desc[nz[0]:]
-    roots = np.roots(desc)
-    roots = _polish_roots(desc, roots)
+    roots = _polish_roots(desc, np.roots(desc))
     bad = np.abs(roots.imag) >= _REAL_ROOT_RTOL * (1.0 + np.abs(roots.real))
     if np.any(bad):
         raise KernelError(
             f"non-real branch-point roots {roots[bad]}; model invalid or numerics failed")
-    return np.sort(roots.real)
-
-
-@lru_cache(maxsize=256)
-def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
-    """Branch interval [u_min, u_max] of coordinate `axis` on the kernel
-    curve, bracketed among the real roots of the quartic.
-
-    The bracket is the unique adjacent pair of positive roots between which
-    the discriminant is positive and the transverse roots are positive
-    (midpoint test on 1 - p_{*0}).
-    """
-    roots = quartic_roots(model, axis)
+    roots = np.sort(roots.real)
+    pm = np.polynomial.polynomial
+    u_a = _poly_u_a(_section_matrix(model, 3 - axis))
     pos = roots[roots > 0]
     candidates = []
     for lo, hi in zip(pos, pos[1:]):
         if hi - lo < 1e-13:
             continue
         mid = 0.5 * (lo + hi)
-        d = discriminant(model, 3 - axis, mid)
-        s = section_coefficients(model, 3 - axis, mid)
-        if d.real > 0 and (1.0 - s.p_star0).real > 0:
+        if pm.polyval(mid, coeffs) > 0 and pm.polyval(mid, u_a) > 0:
             candidates.append((lo, hi))
     if len(candidates) != 1:
         raise KernelError(
             f"expected a unique branch bracket, found {candidates} among roots {roots}")
     u_min, u_max = candidates[0]
+    left = roots[roots <= u_min + 1e-13]
+    right = roots[roots >= u_max - 1e-13]
+    lead_sq = desc[0] * (-1.0) ** len(right)
+    if lead_sq <= 0:
+        raise KernelError("inconsistent sign in branch factorization")
     return BranchPoints(
         u_min=float(u_min),
         u_max=float(u_max),
         all_quartic_roots=tuple(float(r) for r in roots),
+        sqrt_lead=math.sqrt(lead_sq),
+        left=tuple(float(r) for r in left),
+        right=tuple(float(r) for r in right),
     )
-
-
-@lru_cache(maxsize=256)
-def _sqrt_disc_factors(model: ValidatedModel, axis: int):
-    """Factorized form of +sqrt(u^2 D_{3-axis}(u)) analytic off the two real
-    cuts (-inf, u_min] and [u_max, inf) and positive on (u_min, u_max).
-
-    Gluing the principal square roots factor by factor keeps the branch
-    continuous across the negative real axis, where a naive principal-branch
-    sqrt of D would jump.
-    """
-    bp = branch_points(model, axis)
-    roots = np.array(bp.all_quartic_roots)
-    coeffs = _poly_u2D(model, 3 - axis)
-    deg = np.nonzero(coeffs)[0][-1]
-    lead = coeffs[deg]
-    left = roots[roots <= bp.u_min + 1e-13]
-    right = roots[roots >= bp.u_max - 1e-13]
-    pref_sq = lead * (-1.0) ** len(right)
-    if pref_sq <= 0:
-        raise KernelError("inconsistent sign in branch factorization")
-    return math.sqrt(pref_sq), tuple(left), tuple(right), bp
 
 
 def _sqrt_disc(model: ValidatedModel, axis: int, z):
     """sqrt(D_{3-axis}(z)) on the doubly cut plane, positive on the branch
     interval; `z` may be real in [u_min, u_max] or complex off the cuts."""
-    pref, left, right, bp = _sqrt_disc_factors(model, axis)
+    bp = branch_points(model, axis)
     z = np.asarray(z)
     if np.iscomplexobj(z):
         on_cut = (z.imag == 0) & ((z.real < bp.u_min - 1e-12) | (z.real > bp.u_max + 1e-12))
@@ -214,10 +204,10 @@ def _sqrt_disc(model: ValidatedModel, axis: int, z):
         if np.any((z < bp.u_min - 1e-12) | (z > bp.u_max + 1e-12)):
             raise ValueError("real argument outside the branch interval")
         zc = np.clip(z, bp.u_min, bp.u_max).astype(float)
-    f = np.full_like(zc, pref)
-    for r in left:
+    f = np.full_like(zc, bp.sqrt_lead)
+    for r in bp.left:
         f = f * np.sqrt(zc - r)
-    for r in right:
+    for r in bp.right:
         f = f * np.sqrt(r - zc)
     return f / zc
 

@@ -49,15 +49,12 @@ class UnstableModelError(RuntimeError):
 
 def _coerce_prob(value) -> float:
     """Accept a probability as a number or a decimal string."""
-    if isinstance(value, str):
-        try:
-            p = float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ModelFileError(f"bad probability literal {value!r}") from exc
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        p = float(value)
-    else:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ModelFileError(f"bad probability value {value!r}")
+    try:  # a literal too large for a float overflows
+        p = float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ModelFileError(f"bad probability literal {value!r}") from exc
     if not (0.0 <= p <= 1.0) or math.isnan(p):
         raise ModelFileError(f"probability {p} outside [0, 1]")
     return p
@@ -110,15 +107,6 @@ class TransitionKernel:
     @property
     def support(self) -> tuple[tuple[int, int], ...]:
         return tuple((di, dj) for di, dj, _ in self.entries)
-
-    def mass(self, di: int, dj: int) -> float:
-        for i, j, p in self.entries:
-            if i == di and j == dj:
-                return p
-        return 0.0
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {(di, dj): p for di, dj, p in self.entries}
 
     def mean(self) -> tuple[float, float]:
         mx = sum(di * p for di, _, p in self.entries)
@@ -198,7 +186,7 @@ def parse_model(text: str) -> dict[str, TransitionKernel]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise ModelFileError(f"syntax error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")

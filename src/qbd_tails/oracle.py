@@ -34,14 +34,6 @@ class TailSequence:
     values: np.ndarray
     source_n: int
 
-    def to_csv(self) -> str:
-        """Columns n, p, log_p; log_p empty where the value is zero."""
-        rows = ["n,p,log_p"]
-        for n, p in enumerate(self.values):
-            logp = f"{math.log(p):.12g}" if p > 0 else ""
-            rows.append(f"{n},{p:.12g},{logp}")
-        return "\n".join(rows) + "\n"
-
 
 @dataclass(frozen=True)
 class FittedAsymptotic:

@@ -34,8 +34,19 @@ def clear_analysis_caches() -> None:
     """Empty the kernel and geometry caches (and their counts), so that the
     next report solves every polynomial afresh."""
     kernel.branch_points.cache_clear()
-    kernel._sqrt_disc_factors.cache_clear()
     geometry.compute_geometry.cache_clear()
+
+
+def as_dict(k) -> dict[tuple[int, int], float]:
+    """The masses of a face kernel keyed by increment (di, dj)."""
+    return {(di, dj): p for di, dj, p in k.entries}
+
+
+def discriminant(model, axis: int, u):
+    """D_axis(u) = (1 - p_{*0}(u))^2 - 4 p_{*1}(u) p_{*-1}(u), from the
+    section coefficients at u."""
+    s = qt.section_coefficients(model, axis, u)
+    return (1.0 - s.p_star0) ** 2 - 4.0 * s.p_star1 * s.p_star_minus1
 
 
 def is_even_discriminant(model, axis: int = 2) -> bool:
@@ -64,6 +75,22 @@ NARROW_ARC_DOC = {
                   [0, 1, 0.3022267096876198], [1, 0, 0.009361196545245415]],
     "origin": [[0, 0, 0.0005500346482466145], [0, 1, 0.10932186824531835],
                [1, 0, 0.890128097106435]],
+}
+
+
+# a model whose face-1 curve is the vertical line u1 = 1.72383 (no upward
+# mass on face 1), beyond the axis-1 branch interval [0.2018, 1.0270]
+VERTICAL_FACE_DOC = {
+    "interior": [[-1, -1, 0.029817158322986065], [-1, 0, 0.08300860651574102],
+                 [0, -1, 0.2208141645118969], [0, 0, 0.05376524245553163],
+                 [0, 1, 0.12185629240096307], [1, -1, 0.2481749428365594],
+                 [1, 1, 0.24256359295632185]],
+    "boundary1": [[-1, 0, 0.5379010270492415], [0, 0, 0.15006098515197128],
+                  [1, 0, 0.3120379877987872]],
+    "boundary2": [[0, -1, 0.16995226782484263], [0, 0, 0.05787263356269454],
+                  [0, 1, 0.005505775004988805], [1, -1, 0.016829618816307845],
+                  [1, 0, 0.1316956482680457], [1, 1, 0.6181440565231204]],
+    "origin": [[0, 1, 0.9801440979861477], [1, 1, 0.01985590201385233]],
 }
 
 

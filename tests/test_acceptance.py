@@ -13,6 +13,7 @@ from qbd_tails.netgen import JacksonSimParams
 from qbd_tails.oracle import extract, fit_tail, solve_truncated, verify_model
 
 from conftest import (
+    as_dict,
     extreme_r,
     is_even_discriminant,
     jackson_boundary_condition,
@@ -167,7 +168,7 @@ def test_acceptance_09_branch_expansion_ladders(product, jackson_paper, tangent)
         ok = ok and abs(val - closed) < 1e-3 * abs(closed)
         details.append(f"{name}_branch={abs(val - closed):.2e}")
         # face-increment form of the merger constant (holds without tangency)
-        q = m.boundary1.as_dict()
+        q = as_dict(m.boundary1)
         b_up = sum(q.get((i, 1), 0.0) * bp.u_max ** i for i in (-1, 0, 1))
         closed2 = math.sqrt(2.0) * b_up / math.sqrt(-curv)
         g_star = float(gamma(m, "boundary1", bp.u_max, v_star))
@@ -179,7 +180,7 @@ def test_acceptance_09_branch_expansion_ladders(product, jackson_paper, tangent)
     bp = branch_points(tangent, 1)
     v_star = float(np.real(zeta_lower(tangent, 2, bp.u_max)))
     curv = zeta_upper_second_derivative(tangent, 1, v_star)
-    q = tangent.boundary1.as_dict()
+    q = as_dict(tangent.boundary1)
     b_up = sum(q.get((i, 1), 0.0) * bp.u_max ** i for i in (-1, 0, 1))
     closed3 = math.sqrt(-curv) / (math.sqrt(2.0) * b_up)
     z = bp.u_max - 1e-8

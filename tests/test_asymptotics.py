@@ -116,6 +116,14 @@ def test_sigma_requires_stable_model():
         sigma_diag(m)
 
 
+@pytest.mark.parametrize("ask", [
+    lambda m: qt.boundary_class(m, 1), lambda m: qt.marginal_class(m, 2),
+    qt.diagonal_class, qt.classes])
+def test_classes_require_stable_model(ask):
+    with pytest.raises(UnstableModelError):
+        ask(qt.jackson_model(4, 5, 4, 0.25, 0.4))
+
+
 def test_boundary_class_product(product):
     for axis in (1, 2):
         cls = qt.boundary_class(product, axis)
@@ -198,6 +206,19 @@ def test_full_report_computes_geometry_once(jackson_paper, monkeypatch):
     qt.full_report(jackson_paper)
     assert geometry.compute_geometry.cache_info().misses == 1
     assert sorted(calls) == [1, 2]
+
+
+def test_full_report_solves_each_sigma_once(named, monkeypatch):
+    calls = []
+    for name in ("sigma_plus", "sigma_diag"):
+        solve = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *a, solve=solve, name=name: calls.append(name) or solve(*a))
+    for m in named:
+        calls.clear()
+        clear_analysis_caches()
+        qt.full_report(m)
+        assert sorted(calls) == ["sigma_diag", "sigma_plus", "sigma_plus"]
 
 
 @pytest.mark.parametrize("fixture", ["jackson_paper", "x_shaped", "swapped_degenerate_tangent"])

@@ -158,6 +158,25 @@ def test_analysis_error_exit_five(command, error, product_file, tmp_path,
     assert err == "analysis failed: no extreme point\n"
 
 
+@pytest.mark.parametrize("args", [
+    "analyze --model {tmp}/missing.json",
+    "analyze --model {tmp}",
+    "analyze --model {tmp}/latin1.json",
+    "analyze --model {model} --out {tmp}/missing/report.json",
+    "plot --model {model} --out {tmp}/latin1.json/plot",
+    "gen mm1 0.1 0.3 0.15 0.45 --out {tmp}/missing/model.json",
+])
+def test_file_error_exit_one(args, product_file, tmp_path, capsys):
+    # a model path that is missing, a directory or not UTF-8, and an output
+    # path that cannot be written
+    (tmp_path / "latin1.json").write_bytes(PRODUCT_DOC.replace("0.1", "\xb5").encode("latin-1"))
+    code = main(args.format(tmp=tmp_path, model=product_file).split())
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_plot_samples_a_narrow_face_arc(tmp_path):
     # the face-2 curve is positive on a short arc of a long branch interval
     path = tmp_path / "narrow.json"

@@ -22,7 +22,12 @@ from qbd_tails.geometry import (
 from qbd_tails.kernel import gamma, zeta_upper
 from qbd_tails.model import UnstableModelError
 
-from conftest import NARROW_ARC_DOC, extreme_r, jackson_u1r_closed_form
+from conftest import (
+    NARROW_ARC_DOC,
+    VERTICAL_FACE_DOC,
+    extreme_r,
+    jackson_u1r_closed_form,
+)
 
 def _envelope_by_search(model, theta1):
     """Reference for the domain's upper envelope: sup of log zeta_upper_2
@@ -257,6 +262,20 @@ def test_sample_boundary_face_curve_on_a_narrow_arc():
     assert 0.914 < us[:, 1].min() and us[:, 1].max() < 1.38
     assert np.abs(gamma(m, "boundary2", us[:, 0], us[:, 1]) - 1.0).max() < 1e-8
     assert np.exp(np.array(sample.theta)) == pytest.approx(us, rel=1e-12)
+
+
+def test_sample_boundary_vertical_face_curve_beyond_the_branch_interval():
+    # the line u1 = z stands right of u_max1, where the kernel curve has no
+    # points; it is sampled over the curve's range of u2 instead
+    m = qt.load_model(json.dumps(VERTICAL_FACE_DOC))
+    bp1, bp2 = qt.branch_points(m, 1), qt.branch_points(m, 2)
+    sample = sample_boundary(m, "gamma1", 200)
+    us = np.array(sample.u)
+    assert len(set(sample.u)) == 200
+    assert us[0, 0] == pytest.approx(1.72383, abs=1e-5) and us[0, 0] > bp1.u_max
+    assert (us[:, 0] == us[0, 0]).all()
+    assert (us[0, 1], us[-1, 1]) == (bp2.u_min, bp2.u_max)
+    assert np.abs(gamma(m, "boundary1", us[:, 0], us[:, 1]) - 1.0).max() < 1e-12
 
 
 def test_sample_boundary_endpoints_only(product):

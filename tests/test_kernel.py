@@ -12,7 +12,6 @@ from qbd_tails.kernel import (
     _NEWTON_STEPS,
     _poly_u2D,
     branch_points,
-    discriminant,
     gamma,
     section_coefficients,
     zeta_lower,
@@ -20,7 +19,9 @@ from qbd_tails.kernel import (
 )
 
 from conftest import (
+    as_dict,
     clear_analysis_caches,
+    discriminant,
     is_even_discriminant,
     zeta_upper_second_derivative,
 )
@@ -121,6 +122,20 @@ def test_branch_points_symmetric_for_diagonal_interior(x_shaped):
     assert np.allclose(roots, -roots[::-1])
     assert is_even_discriminant(x_shaped, 2)
     assert bp.u_max == pytest.approx(max(roots))
+
+
+def test_branch_points_read_the_quartic_alone(named, monkeypatch):
+    # the bracket and the cut factors come from u^2 D and u (1 - p_{*0})
+    def fail(*args):
+        raise AssertionError("section coefficients evaluated")
+
+    monkeypatch.setattr(kernel, "section_coefficients", fail)
+    clear_analysis_caches()
+    for m in named:
+        for axis in (1, 2):
+            bp = branch_points(m, axis)
+            assert bp.left[-1] == bp.u_min and bp.right[0] == bp.u_max
+            assert len(bp.left) + len(bp.right) == len(bp.all_quartic_roots)
 
 
 def test_branch_interval_contains_unit(corpus20):
@@ -250,7 +265,7 @@ def test_even_flag_needs_all_four_axial_masses_zero():
 def test_quartic_odd_coefficients_closed_form(product, x_shaped, corpus20):
     # c1 and c3 of u^2 D2(u) against the direct mass expressions
     for m in [product, x_shaped] + corpus20[:8]:
-        k = m.interior.as_dict()
+        k = as_dict(m.interior)
         g = lambda i, j: k.get((i, j), 0.0)
         c = _poly_u2D(m, 2)
         c1 = (-2 * (1 - g(0, 0)) * g(-1, 0)
@@ -293,7 +308,7 @@ def test_face_increment_expansion_constant(product, jackson_paper):
         u_star = bp.u_max
         v_star = float(np.real(zeta_lower(m, 2, u_star)))
         curv = zeta_upper_second_derivative(m, 1, v_star)
-        q = m.boundary1.as_dict()
+        q = as_dict(m.boundary1)
         b_up = sum(q.get((i, 1), 0.0) * u_star ** i for i in (-1, 0, 1))
         closed = math.sqrt(2.0) * b_up / math.sqrt(-curv)
         g_star = float(gamma(m, "boundary1", u_star, v_star))
@@ -312,7 +327,7 @@ def test_face_pole_merger_constant(tangent):
     u_star = bp.u_max
     v_star = float(np.real(zeta_lower(tangent, 2, u_star)))
     curv = zeta_upper_second_derivative(tangent, 1, v_star)
-    q = tangent.boundary1.as_dict()
+    q = as_dict(tangent.boundary1)
     b_up = sum(q.get((i, 1), 0.0) * u_star ** i for i in (-1, 0, 1))
     closed = math.sqrt(-curv) / (math.sqrt(2.0) * b_up)
     ladder = []

@@ -11,6 +11,8 @@ import qbd_tails as qt
 import qbd_tails.model as qm
 from qbd_tails.model import _FACE_OK, _WINDOW, TransitionKernel, validate
 
+from conftest import as_dict
+
 PRODUCT_DOC = {
     "interior": [[1, 0, 0.1], [-1, 0, 0.3], [0, 1, 0.15], [0, -1, 0.45]],
     "boundary1": [[1, 0, 0.1], [-1, 0, 0.3], [0, 1, 0.15], [0, 0, 0.45]],
@@ -22,8 +24,8 @@ PRODUCT_DOC = {
 def test_parse_product_document():
     kernels = qt.parse_model(json.dumps(PRODUCT_DOC))
     assert set(kernels) == set(qt.FACES)
-    assert kernels["interior"].mass(1, 0) == 0.1
-    assert kernels["boundary1"].mass(0, 0) == 0.45
+    assert as_dict(kernels["interior"])[(1, 0)] == 0.1
+    assert as_dict(kernels["boundary1"])[(0, 0)] == 0.45
     model = validate(kernels)
     assert model.interior.support == ((-1, 0), (0, -1), (0, 1), (1, 0))
 
@@ -32,7 +34,7 @@ def test_parse_accepts_decimal_strings():
     doc = {f: [[di, dj, str(p)] for di, dj, p in rows]
            for f, rows in ((f, PRODUCT_DOC[f]) for f in qt.FACES)}
     kernels = qt.parse_model(json.dumps(doc))
-    assert kernels["interior"].mass(0, -1) == 0.45
+    assert as_dict(kernels["interior"])[(0, -1)] == 0.45
 
 
 def test_parse_rejects_increment_outside_skip_free_set():
@@ -58,6 +60,13 @@ def test_parse_rejects_unknown_face_and_bad_probability():
     doc["origin"] = [[1, 0, 1.5], [0, 0, -0.5]]
     with pytest.raises(qt.ModelFileError, match="outside"):
         qt.parse_model(json.dumps(doc))
+    # literals too large for a float, and an integer too long for json
+    for literal, match in (('"1e400"', "bad probability literal"),
+                           ("9" * 400, "bad probability literal"),
+                           ("9" * 5000, "syntax error")):
+        doc["origin"] = [[1, 0, "P"], [0, 0, 0.5]]
+        with pytest.raises(qt.ModelFileError, match=match):
+            qt.parse_model(json.dumps(doc).replace('"P"', literal))
 
 
 def test_face_support_constraints():
