@@ -18,11 +18,11 @@ import numpy as np
 
 from . import kernel
 from .geometry import (  # noqa: F401  (the sigma roots are re-exported here)
-    EQ_TOL,
     SigmaPoints,
     compute_geometry,
     sigma_diag,
     sigma_plus,
+    tie_sign,
 )
 from .model import ValidatedModel, arithmetic_profile, check_stability, drifts
 
@@ -50,10 +50,6 @@ def sigma_points(model: ValidatedModel) -> SigmaPoints:
     return compute_geometry(model).sigma
 
 
-def _rel_eq(x: float, y: float) -> bool:
-    return abs(x - y) <= EQ_TOL * max(1.0, abs(x), abs(y))
-
-
 # the category seen from axis 2: the axis that pins the decay vector swaps
 _MIRROR = {"I": "I", "II": "III", "III": "II"}
 
@@ -75,9 +71,8 @@ def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     ax = (geo.axis1, geo.axis2)[k]
     cat = _MIRROR[geo.category] if k else geo.category
     tau = geo.tau[k]
-    gmax = ax.gamma_k_at_max
-    crossing_at_branch = abs(gmax - 1.0) <= EQ_TOL
-    driver_is_crossing = gmax > 1.0 + EQ_TOL
+    crossing_at_branch = ax.face_side == 0
+    driver_is_crossing = ax.face_side > 0
     # with no upward mass on the face its curve section is analytic, so a
     # tangency at the branch point leaves a plain simple pole instead of the
     # square-root merger (the merger constant divides by the upward mass)
@@ -93,7 +88,7 @@ def boundary_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
         else:
             kappa, case = -1.5, "bare-branch"
     else:  # category II: the other axis pins the decay vector
-        if tau < ax.u_gamma[k] and not _rel_eq(tau, ax.u_gamma[k]):
+        if tie_sign(tau, ax.u_gamma[k]) < 0:
             kappa, case = 0.0, "upstream-pole"
         elif driver_is_crossing:
             kappa, case = 1.0, "double-pole"
@@ -127,19 +122,19 @@ def marginal_class(model: ValidatedModel, axis: int) -> AsymptoticClass:
     zl = float(np.real(kernel.zeta_lower(model, 2 - k, u_g)))
     zu = float(np.real(kernel.zeta_upper(model, 2 - k, u_g)))
     tau = geo.tau[k]
-    zu_eq1 = abs(zu - 1.0) <= EQ_TOL
-    zl_eq1 = abs(zl - 1.0) <= EQ_TOL
+    zu_side = tie_sign(zu, 1.0)
+    zl_eq1 = tie_sign(zl, 1.0) == 0
 
-    if zu < 1.0 - EQ_TOL:
+    if zu_side < 0:
         rate = (geo.sigma.sigma_plus_1, geo.sigma.sigma_plus_2)[k]
         if rate is None:
             return _boundary_driven(model, axis, name, "sigma-missing-warning")
         return AsymptoticClass(rate, 0.0, False, f"{name}|unit-line-exits-early")
-    if not zu_eq1 and not zl_eq1:
+    if zu_side > 0 and not zl_eq1:
         return _boundary_driven(model, axis, name)
-    if not zu_eq1 and zl_eq1:
+    if zu_side > 0:
         return AsymptoticClass(tau, 0.0, False, f"{name}|unit-line-through-lower-branch")
-    if zu_eq1 and zl_eq1:
+    if zl_eq1:
         return AsymptoticClass(tau, 0.0, False, f"{name}|unit-line-at-branch-point")
     return AsymptoticClass(tau, 1.0, False, f"{name}|unit-line-through-upper-branch")
 
@@ -148,19 +143,25 @@ def diagonal_class(model: ValidatedModel) -> AsymptoticClass:
     """Exact asymptotic class of the tail of the coordinate sum."""
     geo = compute_geometry(model)
     # the axis with the smaller decay rate leads; axis 1 on a tie
-    k = int(geo.tau[0] > geo.tau[1] and not _rel_eq(geo.tau[0], geo.tau[1]))
+    k = int(tie_sign(geo.tau[0], geo.tau[1]) > 0)
     tau, tau_other = geo.tau[k], geo.tau[1 - k]
     u_max = (geo.axis1, geo.axis2)[k].u_max
     sd = geo.sigma.sigma_d
     if sd is None:
         return _boundary_driven(model, k + 1, "diagonal", "sigma-missing-warning")
-    if sd < tau and not _rel_eq(sd, tau):
+    side = tie_sign(sd, tau)
+    # the diagonal leaves the domain at (sd, sd) only where that point is on
+    # the outer arc, from the axis-2 branch point to the axis-1 one; off it,
+    # the branch points still dominate the diagonal beyond sd
+    on_arc = (tie_sign(sd, geo.axis2.u_max_pt[0]) >= 0
+              and tie_sign(sd, geo.axis1.u_max_pt[1]) >= 0)
+    if side < 0 and on_arc:
         return AsymptoticClass(sd, 0.0, False, "diagonal|diagonal-exits-early")
-    if sd > tau and not _rel_eq(sd, tau):
+    if side != 0:
         return _boundary_driven(model, k + 1, "diagonal")
-    if not _rel_eq(tau, u_max):
+    if tie_sign(tau, u_max) != 0:
         return AsymptoticClass(sd, 1.0, False, "diagonal|double-pole")
-    if _rel_eq(tau, tau_other):
+    if tie_sign(tau, tau_other) == 0:
         return AsymptoticClass(sd, 1.0, False, "diagonal|double-pole-symmetric")
     return AsymptoticClass(sd, 0.0, False, "diagonal|pole-at-branch")
 

@@ -79,6 +79,8 @@ def run_analyze(args) -> int:
 def run_verify(args) -> int:
     from . import oracle  # the oracle, and scipy with it, loads only here
     model = _load(args.model)
+    if args.out:  # an --out that cannot be written fails before the solve
+        open(args.out, "a").close()
     report = asymptotics.full_report(model, source=args.model)
     if not report.stable:
         _dump(report.to_dict(), args.format, args.out)

@@ -22,6 +22,15 @@ from .model import ValidatedModel, require_stable
 EQ_TOL = 1e-9  # equality tolerance for the category and case decisions
 
 
+def tie_sign(x: float, y: float) -> int:
+    """The one tie rule of the case decisions: 0 when x and y agree within
+    EQ_TOL relative to max(1, |x|, |y|), otherwise the sign of x - y."""
+    d = x - y
+    if abs(d) <= EQ_TOL * max(1.0, abs(x), abs(y)):
+        return 0
+    return 1 if d > 0 else -1
+
+
 class GeometryError(RuntimeError):
     """The extreme-point search failed; the model is likely invalid."""
 
@@ -36,6 +45,7 @@ class AxisGeometry:
     u_max_pt: tuple[float, float]  # rightmost curve point (branch point)
     u_r: tuple[float, float] | None  # outermost crossing with the face curve
     gamma_k_at_max: float  # face generating function at u_max_pt
+    face_side: int  # tie_sign(gamma_k_at_max, 1): 0 is a tangency at u_max_pt
     u_gamma: tuple[float, float]  # effective singularity driver
 
 
@@ -162,7 +172,7 @@ def _extreme_r(model: ValidatedModel, axis: int,
 
     if not b.any():
         for z in _vertical_abscissas(a):
-            if 1.0 + 1e-9 < z <= bp.u_max * (1 + 1e-12):
+            if tie_sign(z, 1.0) > 0 and z <= bp.u_max * (1 + 1e-12):
                 z = min(z, bp.u_max)
                 w = float(np.real(kernel.zeta_lower(model, 3 - axis, z)))
                 if on_curve(z, w):
@@ -174,7 +184,7 @@ def _extreme_r(model: ValidatedModel, axis: int,
                 if abs(z.imag) > 1e-8 * (1 + abs(z.real)):
                     continue
                 z = float(z.real)
-                if not (1.0 + 1e-9 < z <= bp.u_max * (1 + 1e-10)):
+                if not (tie_sign(z, 1.0) > 0 and z <= bp.u_max * (1 + 1e-10)):
                     continue
                 z = min(z, bp.u_max)
                 bz = float(np.polynomial.polynomial.polyval(z, b))
@@ -182,7 +192,7 @@ def _extreme_r(model: ValidatedModel, axis: int,
                     continue
                 w = (z - float(np.polynomial.polynomial.polyval(z, a))) / bz
                 z, w = _newton_polish_crossing(m, q, z, w)
-                if z > 1.0 + 1e-9 and on_curve(z, w):
+                if tie_sign(z, 1.0) > 0 and on_curve(z, w):
                     candidates.append((float(z), float(w)))
     if not candidates:
         return None
@@ -196,12 +206,12 @@ def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
     bp = kernel.branch_points(model, axis)
     u_max_pt = extreme_max(model, axis)
     g_at_max = float(np.real(kernel.gamma(model, f"boundary{axis}", *u_max_pt)))
+    side = tie_sign(g_at_max, 1.0)
     u_r = _extreme_r(model, axis, bp)
     # tangency of the face curve at the branch point counts as a crossing
-    if abs(g_at_max - 1.0) <= EQ_TOL and (u_r is None or u_r[k] < u_max_pt[k]):
+    if side == 0 and (u_r is None or u_r[k] < u_max_pt[k]):
         u_r = u_max_pt
-    crossing_drives = g_at_max > 1.0 + EQ_TOL
-    if crossing_drives and u_r is None:
+    if side > 0 and u_r is None:
         raise GeometryError(
             f"face curve exceeds 1 at the axis-{axis} branch point but no "
             "crossing was found")
@@ -212,19 +222,17 @@ def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
         u_max_pt=u_max_pt,
         u_r=u_r,
         gamma_k_at_max=g_at_max,
-        u_gamma=u_r if crossing_drives else u_max_pt,
+        face_side=side,
+        u_gamma=u_r if side > 0 else u_max_pt,
     )
 
 
 def classify(g1: AxisGeometry, g2: AxisGeometry) -> str:
     """Three-way category from the ordering of the two singularity drivers;
     ties within tolerance count as equalities and route to II or III."""
-    d1 = g1.u_gamma[0] - g2.u_gamma[0]  # > 0 means the axis-1 driver is outermost
-    d2 = g2.u_gamma[1] - g1.u_gamma[1]
-    scale1 = max(1.0, abs(g1.u_gamma[0]), abs(g2.u_gamma[0]))
-    scale2 = max(1.0, abs(g2.u_gamma[1]), abs(g1.u_gamma[1]))
-    gt1 = d1 > EQ_TOL * scale1
-    gt2 = d2 > EQ_TOL * scale2
+    # gt1: the axis-1 driver is outermost along axis 1; gt2 likewise
+    gt1 = tie_sign(g1.u_gamma[0], g2.u_gamma[0]) > 0
+    gt2 = tie_sign(g2.u_gamma[1], g1.u_gamma[1]) > 0
     if gt1 and gt2:
         return "I"
     if gt1 and not gt2:
@@ -350,6 +358,8 @@ def directional_decay(model: ValidatedModel, c: tuple[float, float]) -> float:
         raise GeometryError("origin not interior to the convergence domain")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: every later step repeats
+            break
         if domain_contains(model, (mid * c[0], mid * c[1])):
             lo = mid
         else:

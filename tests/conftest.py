@@ -94,6 +94,22 @@ VERTICAL_FACE_DOC = {
 }
 
 
+# a model whose diagonal point (sigma_d, sigma_d) = 1.13559 lies on the
+# kernel curve below the axis-1 branch point (1.28028, 1.67333), off the
+# outer arc: the diagonal decays at tau1 = 1.15091, not at sigma_d
+OFF_ARC_DIAGONAL_DOC = {
+    "interior": [[-1, 0, 0.11080756240013491], [-1, 1, 0.061273731150565364],
+                 [0, -1, 0.4045072832249349], [0, 0, 0.05531536825183733],
+                 [1, 0, 0.2926393560907885], [1, 1, 0.07545669888173888]],
+    "boundary1": [[-1, 0, 0.4471984618022148], [-1, 1, 0.13966446747524253],
+                  [0, 0, 0.046064267192730574], [0, 1, 0.36707280352981214]],
+    "boundary2": [[0, 0, 0.4488358330448704], [0, 1, 0.29435085424986296],
+                  [1, 0, 0.16864127242196553], [1, 1, 0.08817204028330111]],
+    "origin": [[0, 0, 0.7064481380304454], [0, 1, 0.02579934072616656],
+               [1, 0, 0.11073337636652485], [1, 1, 0.15701914487686325]],
+}
+
+
 def product_model():
     return qt.independent_mm1(0.1, 0.3, 0.15, 0.45)
 
@@ -277,22 +293,42 @@ def _truncation_stable(model) -> bool:
     return True
 
 
+def _random_model(rng):
+    """One random draw of the four faces: the validated model, or None when
+    a face or the model is rejected."""
+    interior = _random_kernel(rng, "interior", [s for s in U_SET if s != (0, 0)])
+    b1 = _random_kernel(rng, "boundary1", [s for s in U_SET if s[1] >= 0])
+    b2 = _random_kernel(rng, "boundary2", [s for s in U_SET if s[0] >= 0])
+    org = _random_kernel(rng, "origin", [s for s in U_SET if s[0] >= 0 and s[1] >= 0])
+    if None in (interior, b1, b2, org):
+        return None
+    try:
+        return validate({"interior": interior, "boundary1": b1,
+                         "boundary2": b2, "origin": org})
+    except qt.ValidationError:
+        return None
+
+
+def random_stable_sample(count, seed):
+    """The first `count` stable random draws, with none of the corpus
+    screens: near ties, arithmetic faces and slow fits all stay in."""
+    rng = np.random.default_rng(seed)
+    sample = []
+    while len(sample) < count:
+        model = _random_model(rng)
+        if model is not None and qt.check_stability(qt.drifts(model)).stable:
+            sample.append(model)
+    return sample
+
+
 def random_stable_corpus(count=20, seed=20250810):
     rng = np.random.default_rng(seed)
     corpus = []
     attempts = 0
     while len(corpus) < count and attempts < 40000:
         attempts += 1
-        interior = _random_kernel(rng, "interior", [s for s in U_SET if s != (0, 0)])
-        b1 = _random_kernel(rng, "boundary1", [s for s in U_SET if s[1] >= 0])
-        b2 = _random_kernel(rng, "boundary2", [s for s in U_SET if s[0] >= 0])
-        org = _random_kernel(rng, "origin", [s for s in U_SET if s[0] >= 0 and s[1] >= 0])
-        if None in (interior, b1, b2, org):
-            continue
-        try:
-            model = validate({"interior": interior, "boundary1": b1,
-                              "boundary2": b2, "origin": org})
-        except qt.ValidationError:
+        model = _random_model(rng)
+        if model is None:
             continue
         prof = qt.arithmetic_profile(model)
         if not (prof.va and prof.vb and prof.vc):

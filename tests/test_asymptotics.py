@@ -1,5 +1,6 @@
 """Sigma points and the exact asymptotic class dispatch."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,11 @@ from qbd_tails.asymptotics import classes, sigma_diag, sigma_plus, sigma_points
 from qbd_tails.geometry import compute_geometry
 from qbd_tails.model import TransitionKernel, UnstableModelError, require_stable, validate
 
-from conftest import clear_analysis_caches, jackson_boundary_condition
+from conftest import (
+    OFF_ARC_DIAGONAL_DOC,
+    clear_analysis_caches,
+    jackson_boundary_condition,
+)
 
 
 def test_sigma_plus_product(product):
@@ -280,6 +285,18 @@ def test_diagonal_class_rate_identity(corpus20):
         sd = sigma_diag(m)
         want = min(geo.tau[0], geo.tau[1], sd)
         assert qt.diagonal_class(m).rate == pytest.approx(want, rel=1e-9)
+
+
+def test_diagonal_off_the_outer_arc_is_boundary_driven():
+    # sigma_d = 1.13559 is below tau1 = 1.15091, but (sigma_d, sigma_d) lies
+    # below the axis-1 branch point, so the diagonal does not leave the
+    # domain there: the oracle fits 1.15098 at N = 150
+    m = qt.load_model(json.dumps(OFF_ARC_DIAGONAL_DOC))
+    cls = qt.diagonal_class(m)
+    assert "boundary-driven" in cls.provenance
+    assert cls.rate == pytest.approx(geometry.directional_decay(m, (1, 1)), rel=1e-12)
+    reports = qt.verify_model(m, n_grid=150)
+    assert all(r.passed for r in reports.values())
 
 
 def test_diagonal_rate_is_sigma_diag(named, corpus20):

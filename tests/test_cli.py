@@ -177,6 +177,19 @@ def test_file_error_exit_one(args, product_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_out_fails_before_the_solve(product_file, tmp_path, monkeypatch, capsys):
+    from qbd_tails import oracle
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the oracle solve ran")
+
+    monkeypatch.setattr(oracle, "solve_truncated", solve)
+    code = main(["verify", "--model", product_file, "--out", str(tmp_path / "nodir" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("file error: ") and err.count("\n") == 1
+
+
 def test_plot_samples_a_narrow_face_arc(tmp_path):
     # the face-2 curve is positive on a short arc of a long branch interval
     path = tmp_path / "narrow.json"

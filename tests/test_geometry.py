@@ -18,6 +18,7 @@ from qbd_tails.geometry import (
     domain_contains,
     extreme_max,
     sample_boundary,
+    tie_sign,
 )
 from qbd_tails.kernel import gamma, zeta_upper
 from qbd_tails.model import UnstableModelError
@@ -27,6 +28,7 @@ from conftest import (
     VERTICAL_FACE_DOC,
     extreme_r,
     jackson_u1r_closed_form,
+    random_stable_sample,
 )
 
 def _envelope_by_search(model, theta1):
@@ -159,6 +161,25 @@ def test_classify_double_pole_model(double_pole):
     assert swapped.tau == pytest.approx(geo.tau[::-1], rel=1e-9)
 
 
+@pytest.mark.parametrize("x, y, want", [
+    (1.0, 1.0, 0),
+    (3.25, 3.25, 0),
+    (EQ_TOL, 0.0, 0),  # exactly at the bound
+    (0.0, -EQ_TOL, 0),
+    (math.nextafter(EQ_TOL, 1.0), 0.0, 1),  # one float beyond it
+    # fl(1 + 1e-9) = 1 + 4503600 * 2**-52: neither a tie under the former
+    # abs(x - 1) <= EQ_TOL nor above under x > 1 + EQ_TOL; now it is above
+    (1.0 + 1e-9, 1.0, 1),
+    (1.0 - 1.01e-9, 1.0, -1),
+    (1e6 + 5e-4, 1e6, 0),  # the tolerance scales with max(1, |x|, |y|)
+    (1e6 + 2e-3, 1e6, 1),
+    (-2.0, 3.0, -1),
+])
+def test_tie_sign(x, y, want):
+    assert tie_sign(x, y) == want
+    assert tie_sign(y, x) == -want
+
+
 def test_classify_rejects_double_tie(product):
     g1 = compute_geometry(product).axis1
     with pytest.raises(GeometryError):
@@ -225,6 +246,48 @@ def test_upper_envelope_max_matches_search(named, corpus20):
                 assert got == -math.inf
             else:
                 assert abs(got - want) <= 1e-12
+
+
+def test_directional_decay_matches_class_rates_unscreened():
+    # stable draws without the corpus screens; this sample holds eight models
+    # whose diagonal point (sigma_d, sigma_d) lies off the kernel curve's
+    # outer arc, where the diagonal rate is tau and not sigma_d
+    for m in random_stable_sample(60, seed=3):
+        cls = qt.classes(m)
+        for c, name in (((1, 0), "marginal1"), ((0, 1), "marginal2"),
+                        ((1, 1), "diagonal")):
+            assert directional_decay(m, c) == pytest.approx(cls[name].rate, rel=1e-12)
+
+
+def _directional_decay_80_steps(model, c):
+    """Reference: the bisection of `directional_decay` run for all 80 steps."""
+    geo = compute_geometry(model)
+    hi = max(math.log(geo.tau[0]), math.log(geo.tau[1]),
+             math.log(geo.axis1.u_max)) + 1.0
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if domain_contains(model, (mid * c[0], mid * c[1])):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+def test_directional_decay_stops_at_its_fixed_point(named, corpus20, monkeypatch):
+    calls = []
+
+    def counted(model, theta):
+        calls.append(theta)
+        return domain_contains(model, theta)
+
+    monkeypatch.setattr(qt.geometry, "domain_contains", counted)
+    decays = 0
+    for m in named + corpus20:
+        for c in ((1, 0), (0, 1), (1, 1)):
+            assert repr(directional_decay(m, c)) == repr(_directional_decay_80_steps(m, c))
+            decays += 1
+    assert len(calls) <= 60 * decays
 
 
 def test_directional_decay_rejects_other_directions(product):
