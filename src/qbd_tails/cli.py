@@ -235,12 +235,10 @@ def _run(args) -> int:
             print("grid must be at least 32", file=sys.stderr)
             return EXIT_INVALID
         return run_verify(args)
-    if args.command == "plot":
-        if args.n < 2:
-            print("need at least 2 points per curve", file=sys.stderr)
-            return EXIT_INVALID
-        return run_plot(args)
-    return EXIT_INVALID
+    if args.n < 2:  # plot: argparse admits no other command
+        print("need at least 2 points per curve", file=sys.stderr)
+        return EXIT_INVALID
+    return run_plot(args)
 
 
 def main(argv=None) -> int:

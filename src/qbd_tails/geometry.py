@@ -132,11 +132,11 @@ def _face_linear_coeffs(model: ValidatedModel, axis: int):
 
 
 def _vertical_abscissas(a: np.ndarray) -> list[float]:
-    """Real roots of z*A(z) - z: the abscissas of a face curve without upward
-    transverse mass, which is the vertical set A(z) = 1."""
-    desc = np.trim_zeros(np.polynomial.polynomial.polysub(a, [0.0, 1.0])[::-1], "f")
-    return [float(z.real) for z in (np.roots(desc) if desc.size >= 2 else [])
-            if abs(z.imag) <= 1e-10]
+    """Roots of z*A(z) - z: the abscissas of a face curve without upward
+    transverse mass, which is the vertical set A(z) = 1.  The face's masses
+    a0 + a1 + a2 sum to one, so z*A(z) - z = (z - 1)(a2 z - a0)."""
+    a0, _, a2 = a
+    return [1.0, float(a0 / a2)] if a2 else [1.0]
 
 
 def _crossing_poly(model: ValidatedModel, axis: int) -> np.ndarray:
@@ -209,7 +209,7 @@ def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
     side = tie_sign(g_at_max, 1.0)
     u_r = _extreme_r(model, axis, bp)
     # tangency of the face curve at the branch point counts as a crossing
-    if side == 0 and (u_r is None or u_r[k] < u_max_pt[k]):
+    if side == 0 and (u_r is None or u_r[k] <= u_max_pt[k]):
         u_r = u_max_pt
     if side > 0 and u_r is None:
         raise GeometryError(
@@ -260,10 +260,7 @@ def sigma_plus(model: ValidatedModel, axis: int) -> float:
     require_stable(model)
     m = model.interior.matrix()
     agg = m.sum(axis=1) if axis == 1 else m.sum(axis=0)  # index di+1 (or dj+1)
-    up, down = float(agg[2]), float(agg[0])
-    if up <= 0.0:
-        raise ValueError("no mass forward along the axis; no root above 1")
-    root = down / up
+    root = float(agg[0]) / float(agg[2])
     if root <= 1.0 + 1e-12:
         raise ValueError(
             f"sigma_plus(axis {axis}) has no root above 1 (root {root:.6g}); "
@@ -340,8 +337,6 @@ def domain_contains(model: ValidatedModel, theta: tuple[float, float]) -> bool:
     t1, t2 = theta
     if not (t1 < math.log(geo.tau[0]) and t2 < math.log(geo.tau[1])):
         return False
-    if t1 >= math.log(geo.axis1.u_max):
-        return False
     return _upper_envelope_max(model, t1) > t2
 
 
@@ -391,11 +386,8 @@ def _curve_gamma_face(model: ValidatedModel, axis: int, n: int):
     a, b = _face_linear_coeffs(model, axis)
     pm = np.polynomial.polynomial
     if not b.any():
-        roots = [z for z in _vertical_abscissas(a) if z > 0]
-        if not roots:
-            raise GeometryError("vertical boundary curve has no positive abscissa")
         bpw = kernel.branch_points(model, 3 - axis)
-        return np.full(n, max(roots)), np.linspace(bpw.u_min, bpw.u_max, n)
+        return np.full(n, max(_vertical_abscissas(a))), np.linspace(bpw.u_min, bpw.u_max, n)
     # the ordinate (z - zA(z)) / zB(z) has zB > 0 and a concave numerator, so
     # it is positive on one arc, between the numerator's real roots: sample that
     nmr = pm.polysub([0.0, 1.0], a)

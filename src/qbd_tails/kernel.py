@@ -3,8 +3,8 @@
 For a fixed abscissa the curve gamma_plus(u1, u2) = 1 is a quadratic in the
 other coordinate; this module evaluates the face generating functions, the
 section coefficients of that quadratic, the two branch functions
-(lower/upper root), and the branch points where they coincide, with the
-factors of the square root of the discriminant that they cut.
+(finite lower/upper roots), and the branch points where they coincide,
+with the factors of the square root of the discriminant that they cut.
 
 Axis convention. `axis` names the coordinate the quadratic is solved for:
 section_coefficients(model, 2, u) are the u2-quadratic coefficients at
@@ -148,7 +148,7 @@ def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
 
     Gluing the principal square roots factor by factor, over the roots left
     of the interval and those right of it, keeps +sqrt(u^2 D) continuous off
-    the two real cuts (-inf, u_min] and [u_max, inf), where a naive
+    the two real cuts, left of u_min and right of u_max, where a naive
     principal-branch sqrt of D would jump across the negative real axis.
     """
     coeffs = _poly_u2D(model, 3 - axis)
@@ -213,18 +213,11 @@ def _sqrt_disc(model: ValidatedModel, axis: int, z):
 
 
 def _branch_values(model: ValidatedModel, axis: int, u):
-    """Both roots of the kernel quadratic in coordinate `axis` at the other
-    coordinate's value u, on the analytic branch (lower, upper).
+    """Both finite roots of the kernel quadratic in coordinate `axis` at the
+    other coordinate's value u, on the analytic branch (lower, upper).
 
     The abscissa u and the branch interval live on coordinate 3-axis."""
     s = section_coefficients(model, axis, u)
-    if not _section_matrix(model, axis)[:, 2].any():
-        # no interior mass upward along `axis`: the quadratic degenerates to
-        # a line with the single root below; the upper branch is a sentinel
-        a = 1.0 - s.p_star0
-        lower = s.p_star_minus1 / a
-        upper = np.full_like(np.asarray(lower, dtype=float), np.inf)
-        return (lower, upper) if np.ndim(lower) else (lower, math.inf)
     sq = _sqrt_disc(model, 3 - axis, u)
     a = 1.0 - s.p_star0
     p1 = s.p_star1
@@ -247,5 +240,5 @@ def zeta_lower(model: ValidatedModel, axis: int, u):
 
 
 def zeta_upper(model: ValidatedModel, axis: int, u):
-    """Upper branch of the kernel curve in coordinate `axis` at abscissa u."""
+    """Upper (finite) branch of the kernel curve in coordinate `axis` at u."""
     return _branch_values(model, axis, u)[1]

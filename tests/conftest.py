@@ -173,6 +173,19 @@ def degenerate_tangent_model():
     })
 
 
+def near_unit_vertical_face_model(q0: float):
+    """Product interior with a vertical face-1 curve at u1 = q0 / 0.3, the
+    root next to the face's other abscissa u1 = 1."""
+    mm1 = product_model()
+    return validate({
+        "interior": mm1.interior,
+        "boundary1": TransitionKernel.from_probs("boundary1", {
+            (1, 0): 0.3, (-1, 0): q0, (0, 0): 1.0 - q0 - 0.3}),
+        "boundary2": mm1.boundary2,
+        "origin": mm1.origin,
+    })
+
+
 def double_pole_model():
     """Category-II model whose decay corner coincides with the axis-1
     crossing: the boundary sequence picks up a double pole (linear factor)."""

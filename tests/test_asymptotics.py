@@ -279,14 +279,6 @@ def test_diagonal_class_product(product):
     assert cls.kappa == 1.0 and not cls.periodic
 
 
-def test_diagonal_class_rate_identity(corpus20):
-    for m in corpus20:
-        geo = qt.compute_geometry(m)
-        sd = sigma_diag(m)
-        want = min(geo.tau[0], geo.tau[1], sd)
-        assert qt.diagonal_class(m).rate == pytest.approx(want, rel=1e-9)
-
-
 def test_diagonal_off_the_outer_arc_is_boundary_driven():
     # sigma_d = 1.13559 is below tau1 = 1.15091, but (sigma_d, sigma_d) lies
     # below the axis-1 branch point, so the diagonal does not leave the

@@ -10,7 +10,7 @@ import qbd_tails as qt
 from qbd_tails import asymptotics, geometry
 from qbd_tails.cli import main
 
-from conftest import NARROW_ARC_DOC
+from conftest import NARROW_ARC_DOC, near_unit_vertical_face_model
 
 PRODUCT_DOC = json.dumps({
     "interior": [[1, 0, 0.1], [-1, 0, 0.3], [0, 1, 0.15], [0, -1, 0.45]],
@@ -121,6 +121,15 @@ def test_verify_product_exit_zero(product_file, tmp_path):
     assert 2 <= oracle["levels_factored"] <= 97
 
 
+def test_verify_text_format(product_file, capsys):
+    code = main(["verify", "--model", product_file, "--n-grid", "96",
+                 "--format", "text"])
+    assert code == 0
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("verify ")]
+    assert [ln[:3] for ln in lines] == [["verify", d, "pass"] for d in asymptotics.DIRECTIONS]
+
+
 def test_verify_tight_tolerance_fails(product_file, tmp_path, capsys):
     code = main(["verify", "--model", product_file, "--n-grid", "96",
                  "--tol-rate", "1e-9", "--out", str(tmp_path / "v.json")])
@@ -156,6 +165,18 @@ def test_analysis_error_exit_five(command, error, product_file, tmp_path,
     err = capsys.readouterr().err
     assert code == 5
     assert err == "analysis failed: no extreme point\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_vertical_face_tied_with_one_exit_five(command, tmp_path, capsys):
+    # the face curve stands at u1 = 1 + 3.3e-10, a tie with 1 under EQ_TOL,
+    # so no crossing lies above 1 while the face exceeds 1 at the branch point
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(near_unit_vertical_face_model(0.3 + 1e-10).to_document()))
+    code = main([command, "--model", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("analysis failed: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -28,6 +28,7 @@ from conftest import (
     VERTICAL_FACE_DOC,
     extreme_r,
     jackson_u1r_closed_form,
+    near_unit_vertical_face_model,
     random_stable_sample,
 )
 
@@ -104,6 +105,15 @@ def test_extreme_r_at_a_tangency_is_the_branch_point(degenerate_tangent):
     for m, axis in ((degenerate_tangent, 1), (qt.swap_coordinates(degenerate_tangent), 2)):
         ax = _axis_geometry(m, axis)
         assert ax.u_r == ax.u_max_pt
+
+
+def test_vertical_face_crossing_next_to_one_is_exact():
+    # z A(z) - z = (z - 1)(0.3 z - q0) has the roots 1 and q0 / 0.3, a
+    # relative 3.3e-8 apart; np.roots loses about 8 digits on such a
+    # near-double root
+    q0 = 0.3 + 1e-8
+    m = near_unit_vertical_face_model(q0)
+    assert qt.boundary_class(m, 1).rate == pytest.approx(q0 / 0.3, rel=0, abs=1e-12)
 
 
 def test_extreme_max_product(product):
@@ -225,7 +235,7 @@ def test_directional_decay_product(product):
 
 
 def test_directional_decay_matches_marginal_rate(named, corpus20):
-    for m in named + corpus20[:8]:
+    for m in named + corpus20:
         cls = qt.classes(m)
         for c, name in (((1, 0), "marginal1"), ((0, 1), "marginal2"),
                         ((1, 1), "diagonal")):

@@ -93,6 +93,33 @@ def test_validate_rejects_half_plane_interior():
     assert err.value.condition == "interior-walk-irreducible"
 
 
+def _lattice_full_rank(support) -> bool:
+    """Reference: two of the nonzero steps are linearly independent."""
+    vs = [v for v in support if v != (0, 0)]
+    return any(
+        vs[i][0] * vs[j][1] - vs[i][1] * vs[j][0] != 0
+        for i in range(len(vs))
+        for j in range(i + 1, len(vs))
+    )
+
+
+def test_half_plane_test_implies_rank_two_and_steps_both_ways():
+    # every subset of the nine skip-free steps: each interior support that
+    # passes the half-plane test spans the plane and steps both ways along
+    # both axes, which is what the kernel and geometry code rely on
+    steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    passing = 0
+    for bits in range(2 ** len(steps)):
+        support = [s for k, s in enumerate(steps) if bits >> k & 1]
+        if not qm._not_in_half_plane(support):
+            continue
+        passing += 1
+        assert _lattice_full_rank(support)
+        for c in (0, 1):
+            assert {s[c] for s in support} >= {-1, 1}
+    assert passing == 262
+
+
 def test_validate_rejects_zero_mean_drift():
     kernels = qt.parse_model(json.dumps(PRODUCT_DOC))
     kernels["interior"] = TransitionKernel.from_probs(
@@ -108,6 +135,22 @@ def test_validate_rejects_absorbing_reflection():
     with pytest.raises(qt.ValidationError) as err:
         validate(kernels)
     assert err.value.condition == "reflecting-chain-irreducible"
+
+
+def test_validate_rejects_periodic_reflection():
+    # every step of every face flips the parity of i + j
+    kernels = {
+        "interior": TransitionKernel.from_probs("interior", {
+            (1, 0): 0.2, (-1, 0): 0.3, (0, 1): 0.2, (0, -1): 0.3}),
+        "boundary1": TransitionKernel.from_probs("boundary1", {
+            (1, 0): 0.3, (-1, 0): 0.4, (0, 1): 0.3}),
+        "boundary2": TransitionKernel.from_probs("boundary2", {
+            (1, 0): 0.3, (0, 1): 0.3, (0, -1): 0.4}),
+        "origin": TransitionKernel.from_probs("origin", {(1, 0): 0.5, (0, 1): 0.5}),
+    }
+    with pytest.raises(qt.ValidationError) as err:
+        validate(kernels)
+    assert err.value.condition == "reflecting-chain-aperiodic"
 
 
 # Reference for the window check of `validate`: reachability by depth-first

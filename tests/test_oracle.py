@@ -369,11 +369,14 @@ def test_fit_amplitude_without_overflow():
     assert abs(f.b_hat) < 1e-9
 
 
-def test_fit_structural_period_two():
+@pytest.mark.parametrize("n0", [36, 37], ids=["start_even", "start_odd"])
+@pytest.mark.parametrize("parity, b", [(0, 1.0), (1, -1.0)],
+                         ids=["mass_even", "mass_odd"])
+def test_fit_structural_period_two(parity, b, n0):
     n = np.arange(0, 121, dtype=float)
-    vals = np.where(n % 2 == 0, 2.0 ** (-n), 0.0)
-    f = fit_tail(TailSequence("boundary1", vals, 120))
-    assert f.b_hat == 1.0
+    vals = np.where(n % 2 == parity, 2.0 ** (-n), 0.0)
+    f = fit_tail(TailSequence("boundary1", vals, 120), window=(n0, n0 + 36))
+    assert f.b_hat == b
     assert f.rate_hat == pytest.approx(2.0, abs=1e-6)
 
 
