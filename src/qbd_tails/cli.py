@@ -1,9 +1,10 @@
 """Command-line surface: analyze a model file, verify it against the
 truncated-chain oracle, emit domain-plot data, and generate example models.
 
-Exit codes: 0 ok, 1 invalid model or argument, 2 unstable model,
-3 verification failed, 4 the oracle could not fit a tail, 5 the analysis
-failed on a valid model (a geometry or kernel computation).
+Exit codes: 0 ok, 1 invalid model or argument (usage errors included),
+2 unstable model, 3 verification failed, 4 the oracle could not fit a
+tail, 5 the analysis failed on a valid model (a geometry or kernel
+computation).
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ def run_verify(args) -> int:
         return EXIT_UNSTABLE
     dist = oracle.solve_truncated(model, args.n_grid)
     try:
-        reports = oracle.verify_model(
-            model, n_grid=args.n_grid, window_frac=tuple(args.window),
-            tol_rate=args.tol_rate, tol_kappa=args.tol_kappa, dist=dist)
+        reports = oracle.verify_model(model, n_grid=args.n_grid, dist=dist)
     except ValueError as exc:
         print(f"oracle could not fit a tail: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
@@ -195,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", parents=[common],
                         help="analyze plus oracle verification")
     vp.add_argument("--n-grid", type=int, default=300)
-    vp.add_argument("--window", type=float, nargs=2, default=(0.3, 0.6),
-                    metavar=("A", "B"))
-    vp.add_argument("--tol-rate", type=float, default=5e-3)
-    vp.add_argument("--tol-kappa", type=float, default=0.2)
 
     pp = sub.add_parser("plot", parents=[common], help="emit domain CSV data")
     pp.add_argument("--n", type=int, default=200, help="points per curve")
@@ -227,10 +222,6 @@ def _run(args) -> int:
     if args.command == "analyze":
         return run_analyze(args)
     if args.command == "verify":
-        n0, n1 = args.window
-        if not (0.0 < n0 < n1 < 1.0):
-            print("window fractions must satisfy 0 < A < B < 1", file=sys.stderr)
-            return EXIT_INVALID
         if args.n_grid < 32:
             print("grid must be at least 32", file=sys.stderr)
             return EXIT_INVALID
@@ -242,7 +233,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return _run(args)
     except (ModelFileError, ValidationError) as exc:

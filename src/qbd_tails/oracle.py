@@ -18,6 +18,11 @@ from .model import FACES, ValidatedModel, grid_steps, require_stable
 KAPPA_LATTICE = (-1.5, -0.5, 0.0, 1.0)
 # fitted oscillation amplitude |b| above which a plain class fails
 B_THRESHOLD = 0.05
+# fit window, as fractions of the grid size N
+WINDOW_FRAC = (0.3, 0.6)
+# largest relative rate gap and absolute exponent gap that pass
+TOL_RATE = 5e-3
+TOL_KAPPA = 0.2
 
 
 @dataclass(frozen=True)
@@ -243,39 +248,33 @@ def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequen
     return TailSequence(direction=direction, values=vals, source_n=dist.n_grid)
 
 
-def _loglin_fit(ns: np.ndarray, logv: np.ndarray, kappa: float | None,
-                alternating: bool = True):
-    """Least squares for log p = -n log a + kappa log n + c [+ d (-1)^n];
-    kappa free when None, else pinned.  The alternating column absorbs a
-    period-2 modulation exactly, so it cannot bias the rate and exponent.
-    Returns (log_rate, kappa, c, rss)."""
-    cols = [-ns, np.ones_like(ns)]
-    if kappa is None:
-        cols.insert(1, np.log(ns))
-        target = logv
-    else:
-        target = logv - kappa * np.log(ns)
+def _loglin_fit(ns: np.ndarray, logv: np.ndarray, alternating: bool = True):
+    """Least squares for log p = -n log a + kappa log n + c [+ d (-1)^n].
+    The alternating column absorbs a period-2 modulation exactly, so it
+    cannot bias the rate and exponent.  Returns (log_rate, kappa, c, rss)."""
+    cols = [-ns, np.log(ns), np.ones_like(ns)]
     if alternating and len(ns) >= 6:
         cols.append((-1.0) ** ns)
     design = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ coef
-    if kappa is None:
-        return coef[0], coef[1], coef[2], float(resid @ resid)
-    return coef[0], kappa, coef[1], float(resid @ resid)
+    coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
+    resid = logv - design @ coef
+    return coef[0], coef[1], coef[2], float(resid @ resid)
 
 
-def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None,
-             window_frac: tuple[float, float] = (0.3, 0.6)) -> FittedAsymptotic:
-    """Fit rate, exponent and parity oscillation on the window.
+def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> FittedAsymptotic:
+    """Fit rate, exponent and parity oscillation on the window, by default
+    WINDOW_FRAC times the grid size N the sequence was extracted from.
 
-    The exponent is reported both free and snapped to the admissible
-    lattice {-3/2, -1/2, 0, 1} by smallest residual; the oscillation
-    amplitude comes from separate even/odd refits."""
+    The exponent is reported free (kappa_hat) and snapped to the nearest
+    value of the lattice {-3/2, -1/2, 0, 1} (kappa_selected).  That is the
+    lattice value whose pinned refit leaves the smallest residual: by
+    Frisch-Waugh-Lovell, pinning it at kappa adds c (kappa - kappa_hat)^2,
+    c >= 0, to the free fit's residual sum.  The oscillation amplitude
+    comes from separate even/odd refits."""
     nmax = len(seq.values) - 1
     if window is None:
-        window = (math.ceil(window_frac[0] * seq.source_n),
-                  math.floor(window_frac[1] * seq.source_n))
+        window = (math.ceil(WINDOW_FRAC[0] * seq.source_n),
+                  math.floor(WINDOW_FRAC[1] * seq.source_n))
     n0, n1 = window
     if not (0 < n0 < n1 <= nmax):
         raise ValueError(f"window {window} not inside the sequence range")
@@ -296,16 +295,16 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None,
             raise ValueError("window contains structural zeros not matching period-2")
         ns, vals = ns[pos], vals[pos]
     logv = np.log(vals)
-    lr, kh, c, rss = _loglin_fit(ns, logv, None)
+    lr, kh, _, rss = _loglin_fit(ns, logv)
     resid_norm = math.sqrt(rss / len(ns))
-    snapped = min(KAPPA_LATTICE, key=lambda k: _loglin_fit(ns, logv, k)[3])
+    snapped = min(KAPPA_LATTICE, key=lambda k: abs(k - kh))
     if structural_b is not None:
         return FittedAsymptotic(math.exp(lr), float(kh), structural_b,
                                 (n0, n1), resid_norm, snapped,
                                 math.exp(lr), math.exp(lr))
     even_sel = (ns.astype(int) % 2) == 0
-    lre, _, ce, _ = _loglin_fit(ns[even_sel], logv[even_sel], None, alternating=False)
-    lro, _, co, _ = _loglin_fit(ns[~even_sel], logv[~even_sel], None, alternating=False)
+    lre, _, ce, _ = _loglin_fit(ns[even_sel], logv[even_sel], alternating=False)
+    lro, _, co, _ = _loglin_fit(ns[~even_sel], logv[~even_sel], alternating=False)
     b_hat = math.tanh((ce - co) / 2.0)  # (e^ce - e^co) / (e^ce + e^co), overflow-free
     return FittedAsymptotic(
         rate_hat=math.exp(lr), kappa_hat=float(kh), b_hat=float(b_hat),
@@ -314,10 +313,10 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None,
 
 
 def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
-           tol_rate: float = 5e-3, tol_kappa: float = 0.2,
            direction: str = "") -> VerificationReport:
-    """Pass iff the fitted rate, exponent, and oscillation all agree with
-    the analytic class within the tolerances.
+    """Pass iff the fitted rate is within TOL_RATE (relative) of the
+    analytic rate, the free exponent kappa_hat within TOL_KAPPA of the
+    analytic exponent, and the oscillation agrees.
 
     The oscillation check is one-directional: a fitted oscillation above the
     threshold contradicts a plain class, but a periodic class tolerates an
@@ -326,7 +325,7 @@ def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
     rate_gap = abs(fitted.rate_hat / analytic.rate - 1.0)
     kappa_gap = abs(fitted.kappa_hat - analytic.kappa)
     periodic_match = analytic.periodic or abs(fitted.b_hat) <= B_THRESHOLD
-    passed = rate_gap < tol_rate and kappa_gap < tol_kappa and periodic_match
+    passed = rate_gap < TOL_RATE and kappa_gap < TOL_KAPPA and periodic_match
     return VerificationReport(
         direction=direction, passed=passed, rate_gap=float(rate_gap),
         kappa_gap=float(kappa_gap), periodic_match=periodic_match,
@@ -334,17 +333,15 @@ def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
 
 
 def verify_model(model: ValidatedModel, n_grid: int = 300,
-                 window_frac: tuple[float, float] = (0.3, 0.6),
-                 tol_rate: float = 5e-3, tol_kappa: float = 0.2,
                  dist: EmpiricalStationaryDistribution | None = None,
                  ) -> dict[str, VerificationReport]:
-    """Solve once, then fit and verify all five directions."""
+    """Solve once (unless dist is given), then fit each of the five
+    directions on the window WINDOW_FRAC times N, with the exponent
+    snapped to the nearest lattice value, and verify it."""
     if dist is None:
         dist = solve_truncated(model, n_grid)
     analytic = classes(model)
     return {
-        direction: verify(analytic[direction],
-                          fit_tail(extract(dist, direction), window_frac=window_frac),
-                          tol_rate, tol_kappa, direction)
+        direction: verify(analytic[direction], fit_tail(extract(dist, direction)), direction)
         for direction in DIRECTIONS
     }

@@ -1,14 +1,16 @@
 """Command-line surface: subcommands, exit codes, determinism, round trips."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import qbd_tails as qt
-from qbd_tails import asymptotics, geometry
-from qbd_tails.cli import main
+from qbd_tails import asymptotics, geometry, oracle
+from qbd_tails.cli import build_parser, main
 
 from conftest import NARROW_ARC_DOC, near_unit_vertical_face_model
 
@@ -130,21 +132,23 @@ def test_verify_text_format(product_file, capsys):
     assert [ln[:3] for ln in lines] == [["verify", d, "pass"] for d in asymptotics.DIRECTIONS]
 
 
-def test_verify_tight_tolerance_fails(product_file, tmp_path, capsys):
+def test_verify_tight_tolerance_fails(product_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "TOL_RATE", 1e-9)
     code = main(["verify", "--model", product_file, "--n-grid", "96",
-                 "--tol-rate", "1e-9", "--out", str(tmp_path / "v.json")])
+                 "--out", str(tmp_path / "v.json")])
     assert code == 3
     assert "verification failed" in capsys.readouterr().err
 
 
-def test_verify_unfittable_tail_exit_four(tmp_path, capsys):
+def test_verify_unfittable_tail_exit_four(tmp_path, monkeypatch, capsys):
     # rate 4999: the boundary ray underflows to exact zeros from n = 88 on,
     # inside the window 30..95, so no tail can be fitted
+    monkeypatch.setattr(oracle, "WINDOW_FRAC", (0.3, 0.95))
     path = str(tmp_path / "uf.json")
     assert main(["gen", "mm1", "0.0001", "0.4999", "0.0001", "0.4999",
                  "--out", path]) == 0
     code = main(["verify", "--model", path, "--n-grid", "100",
-                 "--window", "0.3", "0.95", "--out", str(tmp_path / "v.json")])
+                 "--out", str(tmp_path / "v.json")])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("oracle could not fit a tail:")
@@ -248,8 +252,40 @@ def test_package_resolves_oracle_names_on_first_use():
 
 
 def test_verify_rejects_bad_window(product_file, capsys):
-    assert main(["verify", "--model", product_file, "--window", "0.6", "0.3"]) == 1
+    # the fit window is fixed, so --window is a usage error
+    assert main(["verify", "--model", product_file, "--window", "0.3", "0.6"]) == 1
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
     assert main(["verify", "--model", product_file, "--n-grid", "8"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--model", "m.json", "--n-grid", "abc"],
+                                  ["analyze", "--model", "m.json", "--bogus"]],
+                         ids=["bad_value", "unknown_flag"])
+def test_usage_error_exit_one(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: qbd-tails")
+
+
+def test_help_exit_zero(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert "--n-grid" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    # every `qbd-tails` line of the README's command-line block, with its
+    # backslash continuations joined and its # comments dropped
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [c for c in commands if c]
+    assert len(commands) >= 6 and all(c[0] == "qbd-tails" for c in commands)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 def test_gen_mm1_round_trip(tmp_path):
@@ -337,9 +373,7 @@ def test_repeated_calls_answer_alike(product_file, capsys):
     answers = []
     for _ in range(2):
         assert main(["analyze", "--model", product_file, "--format", "text"]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze"])
-        assert exc.value.code == 2
+        assert main(["analyze"]) == 1
         answers.append(capsys.readouterr())
     assert answers[0] == answers[1]
     assert "the following arguments are required: --model" in answers[0].err

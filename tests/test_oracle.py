@@ -8,8 +8,11 @@ import pytest
 from scipy.linalg import lapack
 
 import qbd_tails as qt
+from qbd_tails import oracle
+from qbd_tails.asymptotics import DIRECTIONS
 from qbd_tails.model import ValidatedModel, require_stable
 from qbd_tails.oracle import (
+    KAPPA_LATTICE,
     EmpiricalStationaryDistribution,
     TailSequence,
     _add_tridiag,
@@ -208,6 +211,36 @@ NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch"
          "x_shaped", "tangent", "degenerate_tangent", "double_pole")
 
 
+def _pinned_kappa(seq: TailSequence, window: tuple[int, int]) -> float:
+    """Reference for `fit_tail`'s kappa_selected: refit the window (period-2
+    structural zeros dropped) with the exponent pinned to each lattice
+    value, and return the one with the smallest residual sum."""
+    n0, n1 = window
+    ns = np.arange(n0, n1 + 1, dtype=float)
+    vals = seq.values[n0:n1 + 1]
+    ns, logv = ns[vals > 0.0], np.log(vals[vals > 0.0])
+    cols = [-ns, np.ones_like(ns)]
+    if len(ns) >= 6:
+        cols.append((-1.0) ** ns)
+    design = np.column_stack(cols)
+
+    def rss(kappa):
+        target = logv - kappa * np.log(ns)
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        resid = target - design @ coef
+        return float(resid @ resid)
+
+    return min(KAPPA_LATTICE, key=rss)
+
+
+def _assert_kappa_snapped(dist: EmpiricalStationaryDistribution, fits) -> None:
+    """Each direction's kappa_selected is its smallest-residual lattice value."""
+    for direction, f in fits.items():
+        seq = extract(dist, direction)
+        assert f.kappa_selected == _pinned_kappa(seq, f.window), (
+            dist.n_grid, direction, f.kappa_hat, f.kappa_selected)
+
+
 @pytest.mark.parametrize("name", NAMED)
 def test_cycle_reuse_matches_every_level_factored(name, request):
     model = request.getfixturevalue(name)
@@ -217,6 +250,7 @@ def test_cycle_reuse_matches_every_level_factored(name, request):
         assert np.array_equal(got.pi, want.pi), (name, n_grid)
         assert got.residual == want.residual
         assert 2 <= got.levels_factored <= n_grid + 1
+        _assert_kappa_snapped(got, {d: fit_tail(extract(got, d)) for d in DIRECTIONS})
 
 
 @pytest.mark.parametrize("params", [(0.1, 0.3, 0.15, 0.45), (0.001, 0.499, 0.001, 0.499)])
@@ -374,10 +408,12 @@ def test_fit_amplitude_without_overflow():
                          ids=["mass_even", "mass_odd"])
 def test_fit_structural_period_two(parity, b, n0):
     n = np.arange(0, 121, dtype=float)
-    vals = np.where(n % 2 == parity, 2.0 ** (-n), 0.0)
-    f = fit_tail(TailSequence("boundary1", vals, 120), window=(n0, n0 + 36))
+    vals = np.where(n % 2 == parity, np.maximum(n, 1.0) ** -0.5 * 2.0 ** (-n), 0.0)
+    seq = TailSequence("boundary1", vals, 120)
+    f = fit_tail(seq, window=(n0, n0 + 36))
     assert f.b_hat == b
     assert f.rate_hat == pytest.approx(2.0, abs=1e-6)
+    assert f.kappa_selected == _pinned_kappa(seq, f.window) == -0.5
 
 
 def test_fit_rejects_nonperiodic_zeros():
@@ -393,7 +429,7 @@ def test_fit_rejects_bad_window():
         fit_tail(seq, window=(50, 70))
 
 
-def test_verify_pass_and_negative_control(product):
+def test_verify_pass_and_negative_control(product, monkeypatch):
     dist = solve_truncated(product, 120)
     fitted = fit_tail(extract(dist, "boundary1"))
     good = qt.AsymptoticClass(3.0, 0.0, False, "test")
@@ -408,7 +444,8 @@ def test_verify_pass_and_negative_control(product):
     fitted_diag = fit_tail(extract(dist, "diagonal"))
     good_diag = qt.AsymptoticClass(3.0, 1.0, False, "test")
     assert verify(good_diag, fitted_diag, direction="diagonal").passed
-    rep_tight = verify(good_diag, fitted_diag, tol_rate=1e-9, direction="diagonal")
+    monkeypatch.setattr(oracle, "TOL_RATE", 1e-9)
+    rep_tight = verify(good_diag, fitted_diag, direction="diagonal")
     assert not rep_tight.passed
 
 
@@ -445,10 +482,12 @@ def test_verify_model_named_fixtures(tangent, double_pole):
 
 def test_verify_corpus_all_directions(corpus20):
     for m in corpus20:
-        reports = verify_model(m, n_grid=150)
+        dist = solve_truncated(m, 150)
+        reports = verify_model(m, n_grid=150, dist=dist)
         for direction, rep in reports.items():
             assert rep.passed, (m.interior.entries, direction,
                                 rep.rate_gap, rep.kappa_gap, rep.fitted.b_hat)
+        _assert_kappa_snapped(dist, {d: r.fitted for d, r in reports.items()})
 
 
 def _tail_csv(seq) -> str:
