@@ -4,8 +4,8 @@ Computes the extreme points of the kernel curve (rightmost point of the
 curve, crossing with each boundary-face curve), the three-way category
 those points induce, the decay vector tau, the sigma roots of the curve's
 sections along the unit lines and the diagonal, membership in the
-convergence domain, rough directional decay rates, and boundary samples
-for plotting.
+convergence domain, the directional decay rates read off that domain by
+bisection, and boundary samples for plotting.
 """
 
 from __future__ import annotations
@@ -315,29 +315,29 @@ def compute_geometry(model: ValidatedModel) -> Geometry:
                     sigma=_sigma_points(model))
 
 
-def _upper_envelope_max(model: ValidatedModel, theta1: float) -> float:
-    """sup of log zeta_upper_2 over abscissas strictly beyond theta1.
-
-    The envelope is concave and peaks at the highest point of the kernel
-    curve, the axis-2 branch point: left of it the sup is the peak height,
-    right of it the envelope's own value, and beyond u_max1 nothing."""
-    geo = compute_geometry(model)
-    u_peak, v_peak = geo.axis2.u_max_pt
-    if theta1 >= math.log(geo.axis1.u_max):
-        return -math.inf
-    if theta1 < math.log(u_peak):
-        return math.log(v_peak)
-    return math.log(float(np.real(kernel.zeta_upper(model, 2, math.exp(theta1)))))
-
-
 def domain_contains(model: ValidatedModel, theta: tuple[float, float]) -> bool:
     """Membership test for the open convergence domain: componentwise below
-    log tau and strictly dominated by an interior point of the kernel region."""
+    log tau and strictly dominated by an interior point of the kernel region.
+
+    Its upper boundary is concave with peak (u_peak, v_peak) at the axis-2
+    branch point: log v_peak left of u_peak, none beyond u_max1, and the
+    upper branch between, where y = e^theta2 is below the upper root of
+    q(y) = p*1 y^2 - (1 - p*0) y + p*-1 at x = e^theta1 iff q(y) < 0 or y
+    is left of the vertex, as p*1 > 0 (`validate` needs a +1 step in u2)."""
     geo = compute_geometry(model)
     t1, t2 = theta
-    if not (t1 < math.log(geo.tau[0]) and t2 < math.log(geo.tau[1])):
+    if not (t1 < math.log(geo.tau[0]) and t2 < math.log(geo.tau[1])
+            and t1 < math.log(geo.axis1.u_max)):
         return False
-    return _upper_envelope_max(model, t1) > t2
+    u_peak, v_peak = geo.axis2.u_max_pt
+    if t1 < math.log(u_peak):
+        return t2 < math.log(v_peak)
+    x, y = math.exp(t1), math.exp(t2)
+    p = [0.0, 0.0, 0.0]  # p*-1, p*0, p*1 at x
+    for di, dj, mass in model.interior.entries:
+        p[dj + 1] += mass * x ** di
+    a = 1.0 - p[1]
+    return (p[2] * y - a) * y + p[0] < 0.0 or 2.0 * p[2] * y < a
 
 
 def directional_decay(model: ValidatedModel, c: tuple[float, float]) -> float:
@@ -422,7 +422,7 @@ def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
         z, w = _curve_gamma_face(model, int(curve[-1]), n)
         u1, u2 = (z, w) if curve == "gamma1" else (w, z)
     elif curve == "domain":
-        # _upper_envelope_max at every sample, one zeta_upper call
+        # domain_contains's upper boundary at every sample, one zeta_upper call
         geo = compute_geometry(model)
         u_peak, v_peak = geo.axis2.u_max_pt
         lo = math.log(geo.axis1.u_min) + 1e-9

@@ -11,7 +11,6 @@ from qbd_tails.geometry import (
     EQ_TOL,
     GeometryError,
     _axis_geometry,
-    _upper_envelope_max,
     classify,
     compute_geometry,
     directional_decay,
@@ -242,20 +241,84 @@ def test_directional_decay_matches_marginal_rate(named, corpus20):
             assert directional_decay(m, c) == pytest.approx(cls[name].rate, rel=1e-12)
 
 
-def test_upper_envelope_max_matches_search(named, corpus20):
+def test_domain_contains_straddles_the_searched_envelope(named, corpus20):
     # a theta1 grid from below log u_min1, across the peak at the axis-2
-    # branch point, to beyond log u_max1, where both sides give -inf
+    # branch point, to beyond log u_max1, where the search gives -inf
     for m in named + corpus20:
+        geo = compute_geometry(m)
         bp = qt.branch_points(m, 1)
-        u_peak = compute_geometry(m).axis2.u_max_pt[0]
+        u_peak = geo.axis2.u_max_pt[0]
         grid = np.linspace(math.log(bp.u_min) - 0.5, math.log(bp.u_max) + 0.5, 11)
-        for t1 in [*grid.tolist(), math.log(u_peak), math.log(bp.u_max)]:
-            want = _envelope_by_search(m, t1)
-            got = _upper_envelope_max(m, t1)
-            if want == -math.inf:
-                assert got == -math.inf
-            else:
-                assert abs(got - want) <= 1e-12
+        for t1 in [*grid.tolist(), math.log(u_peak), math.log(bp.u_max) - 1e-9]:
+            search = _envelope_by_search(m, t1)
+            if search == -math.inf:
+                assert not domain_contains(m, (t1, 0.0))
+                assert not domain_contains(m, (t1, -50.0))
+                continue
+            env = min(math.log(geo.tau[1]), search)
+            delta = 1e-9 * max(1.0, abs(env))
+            if t1 < math.log(geo.tau[0]):
+                assert domain_contains(m, (t1, env - delta))
+            assert not domain_contains(m, (t1, env + delta))
+
+
+def _upper_envelope_max(model, theta1):
+    """sup of log zeta_upper_2 over abscissas strictly beyond theta1, read
+    off the upper branch: the peak height left of the axis-2 branch point,
+    the branch's own value right of it, and nothing beyond u_max1."""
+    geo = compute_geometry(model)
+    u_peak, v_peak = geo.axis2.u_max_pt
+    if theta1 >= math.log(geo.axis1.u_max):
+        return -math.inf
+    if theta1 < math.log(u_peak):
+        return math.log(v_peak)
+    return math.log(float(np.real(zeta_upper(model, 2, math.exp(theta1)))))
+
+
+def _contains_by_branch(model, theta):
+    """Reference membership test: below log tau and below the upper
+    envelope evaluated on the upper branch."""
+    geo = compute_geometry(model)
+    t1, t2 = theta
+    if not (t1 < math.log(geo.tau[0]) and t2 < math.log(geo.tau[1])):
+        return False
+    return _upper_envelope_max(model, t1) > t2
+
+
+def test_domain_contains_matches_the_branch_reference(named, corpus20):
+    # random points of a box around the domain, plus points 1e-10 and 1e-6
+    # (relative) off the envelope; only points within 1e-12 of it may differ
+    rng = np.random.default_rng(11)
+    for m in named + corpus20 + random_stable_sample(60, seed=3):
+        geo = compute_geometry(m)
+        lo1, hi1 = math.log(geo.axis1.u_min) - 0.5, math.log(geo.axis1.u_max) + 0.5
+        hi2 = math.log(max(geo.tau[1], geo.axis2.u_max)) + 0.5
+        for t1 in rng.uniform(lo1, hi1, 24).tolist():
+            env = _upper_envelope_max(m, t1)
+            t2s = rng.uniform(-hi2, hi2, 6).tolist()
+            if env > -math.inf:
+                t2s += [env + s * h * max(1.0, abs(env))
+                        for s in (-1.0, 1.0) for h in (1e-6, 1e-10)]
+            for t2 in t2s:
+                if abs(t2 - env) <= 1e-12 * max(1.0, abs(env)):
+                    continue
+                assert domain_contains(m, (t1, t2)) == _contains_by_branch(m, (t1, t2))
+
+
+def test_domain_queries_evaluate_no_branch(jackson_paper, x_shaped, monkeypatch):
+    # geometry and classes read the branches once per model; the domain
+    # queries after them decide membership without evaluating one
+    rates = {m: qt.classes(m) for m in (jackson_paper, x_shaped)}
+
+    def no_branch(*args):
+        raise AssertionError("a domain query evaluated a kernel branch")
+
+    monkeypatch.setattr(qt.kernel, "_branch_values", no_branch)
+    for m, cls in rates.items():
+        assert domain_contains(m, (0.0, 0.0))
+        for c, name in (((1, 0), "marginal1"), ((0, 1), "marginal2"),
+                        ((1, 1), "diagonal")):
+            assert directional_decay(m, c) == pytest.approx(cls[name].rate, rel=1e-12)
 
 
 def test_directional_decay_matches_class_rates_unscreened():
