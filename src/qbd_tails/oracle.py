@@ -48,8 +48,6 @@ class FittedAsymptotic:
     window: tuple[int, int]
     residual_norm: float
     kappa_selected: float
-    rate_even: float
-    rate_odd: float
 
 
 @dataclass(frozen=True)
@@ -248,29 +246,34 @@ def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequen
     return TailSequence(direction=direction, values=vals, source_n=dist.n_grid)
 
 
-def _loglin_fit(ns: np.ndarray, logv: np.ndarray, alternating: bool = True):
-    """Least squares for log p = -n log a + kappa log n + c [+ d (-1)^n].
-    The alternating column absorbs a period-2 modulation exactly, so it
-    cannot bias the rate and exponent.  Returns (log_rate, kappa, c, rss)."""
+def _loglin_fit(ns: np.ndarray, logv: np.ndarray):
+    """Least squares for log p = -n log a + kappa log n + c [+ d (-1)^n],
+    the alternating column only when the window has at least 6 points.
+    That column absorbs a period-2 modulation exactly, so it cannot bias the
+    rate and exponent, and d = artanh(b) for p ~ (1 + b (-1)^n).
+    Returns (log_rate, kappa, d, rss), with d = 0 without the column."""
     cols = [-ns, np.log(ns), np.ones_like(ns)]
-    if alternating and len(ns) >= 6:
+    if len(ns) >= 6:
         cols.append((-1.0) ** ns)
     design = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
     resid = logv - design @ coef
-    return coef[0], coef[1], coef[2], float(resid @ resid)
+    d = coef[3] if len(coef) > 3 else 0.0
+    return coef[0], coef[1], d, float(resid @ resid)
 
 
 def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> FittedAsymptotic:
     """Fit rate, exponent and parity oscillation on the window, by default
-    WINDOW_FRAC times the grid size N the sequence was extracted from.
+    WINDOW_FRAC times the grid size N the sequence was extracted from, in
+    one least-squares solve.
 
     The exponent is reported free (kappa_hat) and snapped to the nearest
     value of the lattice {-3/2, -1/2, 0, 1} (kappa_selected).  That is the
     lattice value whose pinned refit leaves the smallest residual: by
     Frisch-Waugh-Lovell, pinning it at kappa adds c (kappa - kappa_hat)^2,
-    c >= 0, to the free fit's residual sum.  The oscillation amplitude
-    comes from separate even/odd refits."""
+    c >= 0, to the free fit's residual sum.  The oscillation amplitude b_hat
+    is tanh of the fit's alternating coefficient, or +-1 when one parity of
+    the window is structurally zero."""
     nmax = len(seq.values) - 1
     if window is None:
         window = (math.ceil(WINDOW_FRAC[0] * seq.source_n),
@@ -294,22 +297,12 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> Fitted
         else:
             raise ValueError("window contains structural zeros not matching period-2")
         ns, vals = ns[pos], vals[pos]
-    logv = np.log(vals)
-    lr, kh, _, rss = _loglin_fit(ns, logv)
-    resid_norm = math.sqrt(rss / len(ns))
-    snapped = min(KAPPA_LATTICE, key=lambda k: abs(k - kh))
-    if structural_b is not None:
-        return FittedAsymptotic(math.exp(lr), float(kh), structural_b,
-                                (n0, n1), resid_norm, snapped,
-                                math.exp(lr), math.exp(lr))
-    even_sel = (ns.astype(int) % 2) == 0
-    lre, _, ce, _ = _loglin_fit(ns[even_sel], logv[even_sel], alternating=False)
-    lro, _, co, _ = _loglin_fit(ns[~even_sel], logv[~even_sel], alternating=False)
-    b_hat = math.tanh((ce - co) / 2.0)  # (e^ce - e^co) / (e^ce + e^co), overflow-free
+    lr, kh, d, rss = _loglin_fit(ns, np.log(vals))
+    b_hat = math.tanh(d) if structural_b is None else structural_b
     return FittedAsymptotic(
         rate_hat=math.exp(lr), kappa_hat=float(kh), b_hat=float(b_hat),
-        window=(n0, n1), residual_norm=resid_norm, kappa_selected=snapped,
-        rate_even=math.exp(lre), rate_odd=math.exp(lro))
+        window=(n0, n1), residual_norm=math.sqrt(rss / len(ns)),
+        kappa_selected=min(KAPPA_LATTICE, key=lambda k: abs(k - kh)))
 
 
 def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,

@@ -110,12 +110,29 @@ def test_acceptance_05_q0_dichotomy(jackson_q0_geometric, jackson_q0_branch):
             f"rate={fit_b.rate_hat:.4f} {el_b:.0f}s)")
 
 
+def _parity_rates(values, window):
+    """Decay rates of the even and of the odd points of the window, each
+    from its own least-squares fit of log p = -n log a + kappa log n + c."""
+    n0, n1 = window
+    ns = np.arange(n0, n1 + 1, dtype=float)
+    logv = np.log(values[n0:n1 + 1])
+    rates = []
+    for parity in (0, 1):
+        sel = ns % 2 == parity
+        design = np.column_stack([-ns[sel], np.log(ns[sel]), np.ones(sel.sum())])
+        coef, *_ = np.linalg.lstsq(design, logv[sel], rcond=None)
+        rates.append(math.exp(coef[0]))
+    return rates
+
+
 def test_acceptance_06_arithmetic_detection(x_shaped):
     prof = qt.arithmetic_profile(x_shaped)
     cls = qt.boundary_class(x_shaped, 1)
     dist = solve_truncated(x_shaped, 300)
-    fit = fit_tail(extract(dist, "boundary1"))
-    parity_gap = abs(fit.rate_even / fit.rate_odd - 1.0)
+    seq = extract(dist, "boundary1")
+    fit = fit_tail(seq)
+    rate_even, rate_odd = _parity_rates(seq.values, fit.window)
+    parity_gap = abs(rate_even / rate_odd - 1.0)
     ok = (not prof.va
           and cls.periodic
           and abs(fit.b_hat) > 0.05

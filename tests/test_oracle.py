@@ -261,6 +261,12 @@ def test_cycle_reuse_matches_on_the_benchmark_grid(params):
     assert np.array_equal(got.pi, want.pi)
     assert got.residual == want.residual
     assert got.levels_factored < 201
+    # both models pass all five directions; the rate-499 model's fit
+    # window holds subnormal values, which must not read as a parity
+    # oscillation
+    reports = verify_model(model, n_grid=200, dist=got)
+    assert all(r.passed for r in reports.values()), {
+        d: (r.rate_gap, r.kappa_gap, r.fitted.b_hat) for d, r in reports.items()}
 
 
 def test_interior_levels_have_the_same_steps(jackson_paper, x_shaped):
@@ -385,22 +391,33 @@ def test_fit_power_correction():
     assert f.kappa_selected == -1.5
 
 
-def test_fit_oscillation():
+@pytest.mark.parametrize("kappa", [0.0, -1.5])
+@pytest.mark.parametrize("b", [-0.9, 0.5])
+def test_fit_oscillation(b, kappa):
     n = np.arange(0, 121, dtype=float)
-    vals = (1.0 + 0.5 * (-1.0) ** n) * 3.0 ** (-n)
+    vals = (1.0 + b * (-1.0) ** n) * np.maximum(n, 1.0) ** kappa * 3.0 ** (-n)
     f = fit_tail(TailSequence("boundary1", vals, 120))
     assert f.rate_hat == pytest.approx(3.0, abs=1e-6)
-    assert f.b_hat == pytest.approx(0.5, abs=1e-3)
-    assert abs(f.kappa_hat) < 0.05
+    assert f.b_hat == pytest.approx(b, abs=1e-9)
+    assert f.kappa_hat == pytest.approx(kappa, abs=1e-6)
 
 
 def test_fit_amplitude_without_overflow():
-    # the even and odd intercepts are near 760, beyond exp's float range;
-    # b_hat = tanh((ce - co) / 2) never forms exp(760)
+    # the intercept is near 760, beyond exp's float range; b_hat is tanh of
+    # the alternating coefficient alone and never forms exp(760)
     n = np.arange(301.0)
     f = fit_tail(TailSequence("boundary1", np.exp(760 - 4 * np.maximum(n, 60)), 300))
     assert f.rate_hat == pytest.approx(math.exp(4), rel=1e-9)
     assert abs(f.b_hat) < 1e-9
+
+
+def test_fit_amplitude_with_subnormal_values():
+    # 499^-n is subnormal for n >= 115, inside the window (60, 119): the
+    # rounded points must not read as a parity oscillation
+    n = np.arange(201.0)
+    f = fit_tail(TailSequence("marginal1", 499.0 ** -n, 200))
+    assert f.window == (60, 119)
+    assert abs(f.b_hat) < 1e-3
 
 
 @pytest.mark.parametrize("n0", [36, 37], ids=["start_even", "start_odd"])
