@@ -324,7 +324,11 @@ def domain_contains(model: ValidatedModel, theta: tuple[float, float]) -> bool:
     upper branch between, where y = e^theta2 is below the upper root of
     q(y) = p*1 y^2 - (1 - p*0) y + p*-1 at x = e^theta1 iff q(y) < 0 or y
     is left of the vertex, as p*1 > 0 (`validate` needs a +1 step in u2)."""
-    geo = compute_geometry(model)
+    return _contains(model, compute_geometry(model), theta)
+
+
+def _contains(model: ValidatedModel, geo: Geometry, theta: tuple[float, float]) -> bool:
+    """domain_contains with the model's geometry already looked up."""
     t1, t2 = theta
     if not (t1 < math.log(geo.tau[0]) and t2 < math.log(geo.tau[1])
             and t1 < math.log(geo.axis1.u_max)):
@@ -349,13 +353,13 @@ def directional_decay(model: ValidatedModel, c: tuple[float, float]) -> float:
     hi = max(math.log(geo.tau[0]), math.log(geo.tau[1]),
              math.log(geo.axis1.u_max)) + 1.0
     lo = 0.0
-    if not domain_contains(model, (0.0, 0.0)):
+    if not _contains(model, geo, (0.0, 0.0)):
         raise GeometryError("origin not interior to the convergence domain")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats: every later step repeats
             break
-        if domain_contains(model, (mid * c[0], mid * c[1])):
+        if _contains(model, geo, (mid * c[0], mid * c[1])):
             lo = mid
         else:
             hi = mid

@@ -25,6 +25,7 @@ from .model import ValidatedModel
 
 _REAL_ROOT_RTOL = 1e-8  # |imag| < rtol * (1 + |real|) declares a root real
 _NEWTON_STEPS = 60
+_EPS = np.finfo(float).eps
 
 
 class KernelError(RuntimeError):
@@ -111,28 +112,55 @@ def _poly_u2D(model: ValidatedModel, axis: int) -> np.ndarray:
 
 
 def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The roots after exactly _NEWTON_STEPS simultaneous Newton steps on the
-    polynomial with descending coefficients `coeffs_desc`.
+    """The roots polished by Newton's method on the polynomial with
+    descending coefficients `coeffs_desc`: every real root bit for bit as
+    after exactly _NEWTON_STEPS steps, every non-real one (by
+    _REAL_ROOT_RTOL) once its step is at rounding level.
 
-    A step is a fixed function of the root vector alone, so once iterate k
-    equals an earlier iterate j bit for bit, every later iterate repeats with
-    period k - j: iterate n >= j equals iterate j + (n - j) % (k - j). The
-    loop stops at the first repeat and reads the last iterate off the
-    recorded cycle, which gives the same bits as running every step.
+    A root's iterates depend on that root alone, and numpy's elementwise
+    array arithmetic gives the same bits at any array length or position,
+    so each step iterates only the roots still active. Once a root's
+    iterate k equals its iterate j < k bit for bit, its later iterates
+    repeat with period k - j: iterate n >= j equals iterate
+    j + (n - j) % (k - j), which the root reads off its recorded cycle. A
+    non-real root stops once its step is within 8 eps of its modulus; no
+    caller reads it beyond the realness test, which later steps at that
+    level cannot change.
     """
     deriv = np.polyder(coeffs_desc)
-    history = [roots]
-    seen = {roots.tobytes(): 0}
+    iterates = np.empty((_NEWTON_STEPS + 1, roots.size), dtype=roots.dtype)
+    iterates[0] = roots
+    width = roots.itemsize
+    raw = roots.tobytes()
+    seen = [{raw[i * width:(i + 1) * width]: 0} for i in range(roots.size)]
+    last = [_NEWTON_STEPS] * roots.size  # the iterate each root returns
+    active = list(range(roots.size))
+    z = roots
     for k in range(1, _NEWTON_STEPS + 1):
-        f = np.polyval(coeffs_desc, roots)
-        df = np.polyval(deriv, roots)
-        step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
-        roots = roots - step
-        j = seen.setdefault(roots.tobytes(), k)
-        if j != k:
-            return history[j + (_NEWTON_STEPS - j) % (k - j)]
-        history.append(roots)
-    return roots
+        f = np.polyval(coeffs_desc, z)
+        df = np.polyval(deriv, z)
+        nonzero = df != 0
+        step = np.where(nonzero, f / np.where(nonzero, df, 1.0), 0.0)
+        z = z - step
+        iterates[k, active] = z
+        raw = z.tobytes()
+        keep = []
+        # Python scalars only decide when a root stops; its iterates stay in arrays
+        for pos, (i, zi, si) in enumerate(zip(active, z.tolist(), step.tolist())):
+            j = seen[i].setdefault(raw[pos * width:(pos + 1) * width], k)
+            if j != k:
+                last[i] = j + (_NEWTON_STEPS - j) % (k - j)
+            elif (abs(si) <= 8 * _EPS * abs(zi)
+                  and abs(zi.imag) >= _REAL_ROOT_RTOL * (1.0 + abs(zi.real))):
+                last[i] = k
+            else:
+                keep.append(pos)
+        if not keep:
+            break
+        if len(keep) < len(active):
+            active = [active[pos] for pos in keep]
+            z = z[keep]
+    return iterates[last, np.arange(roots.size)]
 
 
 @lru_cache(maxsize=256)

@@ -273,7 +273,8 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> Fitted
     Frisch-Waugh-Lovell, pinning it at kappa adds c (kappa - kappa_hat)^2,
     c >= 0, to the free fit's residual sum.  The oscillation amplitude b_hat
     is tanh of the fit's alternating coefficient, or +-1 when one parity of
-    the window is structurally zero."""
+    the window is structurally zero.  Exact zeros that end the window are
+    float64 underflow, and the error names where they start."""
     nmax = len(seq.values) - 1
     if window is None:
         window = (math.ceil(WINDOW_FRAC[0] * seq.source_n),
@@ -295,6 +296,11 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> Fitted
         elif npos_odd.all() and not npos_even.any():
             structural_b = -1.0 if n0 % 2 == 0 else 1.0
         else:
+            first = int(np.argmin(pos))
+            if (vals[first:] == 0.0).all():
+                raise ValueError(
+                    f"tail underflows float64 from n = {n0 + first} inside window "
+                    f"{n0}..{n1}; a smaller grid can fit it")
             raise ValueError("window contains structural zeros not matching period-2")
         ns, vals = ns[pos], vals[pos]
     lr, kh, d, rss = _loglin_fit(ns, np.log(vals))

@@ -340,8 +340,8 @@ def test_face_pole_merger_constant(tangent):
 
 
 def _fixed_step_iterates(coeffs_desc, roots):
-    """Every iterate of the fixed-length Newton loop; the last one is the
-    result _polish_roots must reproduce bit for bit."""
+    """Every iterate of the fixed-length Newton loop; _polish_roots must
+    return the real roots of the last one bit for bit."""
     deriv = np.polyder(coeffs_desc)
     iterates = [roots]
     for _ in range(_NEWTON_STEPS):
@@ -375,7 +375,13 @@ def _seeded_networks(count, seed):
     return networks
 
 
+def _real_mask(roots):
+    return np.abs(roots.imag) < kernel._REAL_ROOT_RTOL * (1.0 + np.abs(roots.real))
+
+
 def test_polish_roots_bit_identical_to_fixed_steps(named, corpus20, monkeypatch):
+    # real roots keep the bits of the 60-step loop; non-real ones stop at
+    # rounding level, and callers read them only through the realness test
     calls = []
     polish = kernel._polish_roots
 
@@ -394,10 +400,31 @@ def test_polish_roots_bit_identical_to_fixed_steps(named, corpus20, monkeypatch)
         assert calls
         for coeffs_desc, roots, got in calls:
             want = _fixed_step_iterates(coeffs_desc, roots)
-            assert got.dtype == want[-1].dtype
-            assert got.tobytes() == want[-1].tobytes()
+            last = want[-1]
+            assert got.dtype == last.dtype
+            real = _real_mask(last)
+            assert np.array_equal(_real_mask(got), real)
+            assert got[real].tobytes() == last[real].tobytes()
+            assert np.all(np.abs(got[~real] - last[~real]) <= 1e-13 * np.abs(last[~real]))
             seen.add((m in networks, coeffs_desc.size - 1, _repeat_period(want)))
     periods = {period for _, _, period in seen}
     assert 1 in periods  # a fixed point
     assert any(p is not None and p >= 2 for p in periods)  # a longer cycle
     assert (True, 6, None) in seen  # a network sextic that runs every step
+
+
+def test_paper_network_report_evaluates_few_polynomials(jackson_paper, monkeypatch):
+    # a non-real pair that wanders at rounding level made each crossing
+    # sextic of the paper network run all 60 Newton steps: 260 evaluations
+    count = 0
+    polyval = np.polyval
+
+    def counted(p, x):
+        nonlocal count
+        count += 1
+        return polyval(p, x)
+
+    monkeypatch.setattr(np, "polyval", counted)
+    clear_analysis_caches()
+    qt.full_report(jackson_paper)
+    assert 0 < count <= 60

@@ -434,10 +434,21 @@ def test_fit_structural_period_two(parity, b, n0):
 
 
 def test_fit_rejects_nonperiodic_zeros():
+    # a zero with positive values after it is no underflow
     vals = np.ones(121)
     vals[50] = 0.0
-    with pytest.raises(ValueError, match="period-2"):
+    with pytest.raises(ValueError) as err:
         fit_tail(TailSequence("boundary1", vals, 120))
+    assert str(err.value) == "window contains structural zeros not matching period-2"
+
+
+def test_fit_names_underflow():
+    # exact zeros from n = 60 to the end of the window 36..71
+    vals = np.where(np.arange(121) < 60, 1.0, 0.0)
+    with pytest.raises(ValueError) as err:
+        fit_tail(TailSequence("boundary1", vals, 120))
+    assert str(err.value) == ("tail underflows float64 from n = 60 inside "
+                              "window 36..71; a smaller grid can fit it")
 
 
 def test_fit_rejects_bad_window():
