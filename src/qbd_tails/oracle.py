@@ -30,7 +30,7 @@ class EmpiricalStationaryDistribution:
     n_grid: int
     pi: np.ndarray  # shape (n_grid + 1, n_grid + 1)
     residual: float  # one-step stationarity defect, L1
-    levels_factored: int  # GTH level factorisations; N + 1 when no factor repeats
+    levels_factored: int  # GTH block factorisations: one per reduction stage, and level 0
 
 
 @dataclass(frozen=True)
@@ -131,46 +131,37 @@ def _add_tridiag(out: np.ndarray, diags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_block(g: np.ndarray, piv: np.ndarray, a: np.ndarray, i: int) -> np.ndarray:
-    """The censored block S_{i-1} = A_{i-1,i-1} + A_{i-1,i} M_i^{-1} A_{i,i-1}
-    of level i-1, from level i's GTH factor g."""
-    rhs = _add_tridiag(np.zeros((len(g), len(g)), order="F"), a[0, :, i])
-    x, _ = lapack.dgetrs(g, piv, rhs, overwrite_b=1)
-    up = a[2, :, i - 1]
-    s = up[1][:, None] * x
-    s[1:] += up[0, 1:, None] * x[:-1]
-    s[:-1] += up[2, :-1, None] * x[1:]
-    return _add_tridiag(s, a[1, :, i - 1])
+def _gth_factor(local: np.ndarray, exit_mass: np.ndarray) -> np.ndarray:
+    """`_gth_lu` factor of I - local, the exit mass on its diagonal."""
+    g = np.negative(local, order="F")
+    _gth_lu(g, -exit_mass)
+    return g
 
 
 def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
     """Stationary distribution of the chain censored to {0..N}^2 (outward
-    mass renormalized into each row), by linear level reduction with
-    subtraction-free (GTH) block elimination.
+    mass renormalized into each row), by cyclic reduction over the levels
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970) with subtraction-free
+    (GTH) block factors: the finite-square form of the logarithmic reduction
+    for a QBD's G (Latouche & Ramaswami, J. Appl. Prob. 1993; Bini, Latouche
+    & Meini, Numerical Methods for Structured Markov Chains, 2005).
 
-    The walk is skip-free, so the chain is block tridiagonal in the level i.
-    Levels N..1 are eliminated in turn: level i's within-level M-matrix M_i
-    (exit to level i-1 on its diagonal) is factored by `_gth_lu`, and the
-    censored block of level i-1 becomes S = A_{i-1,i-1} + A_{i-1,i}
-    M_i^{-1} A_{i,i-1}.  Level 0 is solved by GTH with state (0, 0) last,
-    then pi_i = pi_{i-1} A_{i-1,i} M_i^{-1} level by level.
+    The walk is skip-free, so the chain censored to any set of levels is
+    block tridiagonal: level 0 (local, up), one triple (dn, local, up) that
+    levels 1..K-1 share, and the top level K (dn, local).  While K > 0, a
+    stage censors out the top level if K is odd (I - local factored, exit
+    mass its down steps) and levels 1, 3, .., K-1 if K is even (the shared
+    M = I - local factored once, exit mass its up and down steps; the even
+    levels' blocks gain their products with X = M^-1 [up | dn]).  At most
+    2 ceil(log2(N + 1)) + 1 blocks are factored, the last level 0's, with
+    state (0, 0) last.  The stages are then replayed in reverse, pi_odd =
+    (pi_below up + pi_above dn) M^-1, each by one transposed solve.
 
-    The blocks of levels 1..N-1 are bitwise the same, so there the factor
-    of level i-1 is one fixed function of the factor of level i.  That map
-    converges, and its float64 iterates often end in a cycle, bit for bit
-    (period 24 from level 106 down for the product model at N = 200).
-    Once an interior level's factor equals that of an interior level p
-    above it, every lower level k reuses the factor of level k + p and
-    elimination stops; S_0 is formed from level 1's factor.  The answer is
-    the same as factoring every level, and memory is one n x n factor per
-    distinct level instead of one per level.
-
-    The blocks are read off a[di + 1, dj + 1, i, j], the probability of the
-    step (i, j) -> (i + di, j + dj) (`grid_steps` over its row sums), and so
-    is pi P for the residual |pi P - pi|_1: nine shifted adds of a * pi.
-
-    Every arithmetic operation combines numbers of one sign, so the
-    stationary vector keeps componentwise relative accuracy at any
+    The blocks, and pi P for the residual |pi P - pi|_1, are read off
+    a[di + 1, dj + 1, i, j], the probability of the step (i, j) ->
+    (i + di, j + dj) (`grid_steps` over its row sums).  Every block, X and
+    exit mass is a sum of nonnegative terms, so no operation subtracts and
+    the stationary vector keeps componentwise relative accuracy at any
     magnitude, which the tail fits require.
     """
     require_stable(model)
@@ -179,41 +170,50 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
     n = n_grid + 1
     a = _steps(model, n_grid)
     piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
-    lu = [None] * n  # level i's GTH factor; repeated levels share one array
-    seen = {}  # pivot diagonal -> the interior levels factored with it
-    s = _add_tridiag(np.zeros((n, n)), a[1, :, n_grid])
-    for i in range(n_grid, 0, -1):
-        g = np.empty((n, n), order="F")
-        np.negative(s, out=g)
-        _gth_lu(g, -a[0, :, i].sum(axis=0))
-        if i < n_grid:
-            key = g.diagonal().tobytes()
-            j = next((k for k in seen.get(key, ()) if np.array_equal(lu[k], g)), None)
-            if j is not None:  # period j - i from level i down
-                for k in range(i, 0, -1):
-                    lu[k] = lu[k + j - i]
-                s = _next_block(lu[1], piv, a, 1)
-                break
-            seen.setdefault(key, []).append(i)
-        lu[i] = g
-        s = _next_block(g, piv, a, i)
-    levels_factored = n_grid - i + 2  # levels N..i, and level 0 below
+    # level i's steps to level i + d - 1, for level 0, level 1 and level N
+    lb, ub, dn, loc, up, dt, lt = (
+        _add_tridiag(np.zeros((n, n), order="F"), a[d, :, i])
+        for d, i in ((1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, n_grid), (1, n_grid)))
+    levels = np.arange(n)  # the original index of each level left
+    stages = []  # (levels, factor, blocks into the levels censored out)
+    # scipy's BLAS for every product, for the reason given in `_gth_lu`
+    while len(levels) > 1:
+        if len(levels) % 2 == 0:  # K odd
+            g = _gth_factor(lt, dt.sum(axis=1))
+            x, _ = lapack.dgetrs(g, piv, dt)
+            into, local = (ub, lb) if len(levels) == 2 else (up, loc)  # level K-1's
+            stages.append((levels, g, (into,)))
+            # level K-1 is the new top; the last stage (K = 1) leaves level 0
+            lt, dt = blas.dgemm(1.0, into, x, 1.0, local), dn
+            levels = levels[:-1]
+        else:
+            g = _gth_factor(loc, up.sum(axis=1) + dn.sum(axis=1))
+            x, _ = lapack.dgetrs(g, piv, np.hstack((up, dn)))
+            stages.append((levels, g, (ub, up, dn, dt)))
+            pb, pu, pd, pt = (blas.dgemm(1.0, m, x) for m in (ub, up, dn, dt))
+            lb, ub = lb + pb[:, n:], pb[:, :n]
+            loc, dn, up = loc + pd[:, :n] + pu[:, n:], pd[:, n:], pu[:, :n]
+            lt, dt = lt + pt[:, :n], pt[:, n:]
+            levels = levels[::2]
     # level 0 reversed, so that the state left after elimination is (0, 0):
     # pi_0 is then the last row of L^{-1}
-    g = np.asfortranarray(-s[::-1, ::-1])
-    _gth_lu(g, np.zeros(n))
-    unit = np.zeros((n, 1))
-    unit[-1] = 1.0
-    last, _ = lapack.dtrtrs(g, unit, lower=1, trans=1, unitdiag=1)
+    g = _gth_factor(lt[::-1, ::-1], np.zeros(n))
+    last, _ = lapack.dtrtrs(g, np.eye(n)[:, -1:], lower=1, trans=1, unitdiag=1)
     pi = np.empty((n, n))
     pi[0] = last[::-1, 0]
-    for i in range(1, n):
-        up = a[2, :, i - 1]
-        b = up[1] * pi[i - 1]
-        b[:-1] += up[0, 1:] * pi[i - 1, 1:]
-        b[1:] += up[2, :-1] * pi[i - 1, :-1]
-        x, _ = lapack.dgetrs(lu[i], piv, b[:, None], trans=1)
-        pi[i] = x[:, 0]
+    for levels, g, blocks in reversed(stages):
+        if len(levels) % 2 == 0:  # the top level, from the level below
+            rhs = blas.dgemv(1.0, blocks[0], pi[levels[-2]], trans=1)[:, None]
+        else:  # the odd levels, from the even levels on both sides
+            ub, up, dn, dt = blocks
+            below, above = pi[levels[:-1:2]], pi[levels[2::2]]
+            rhs = blas.dgemm(1.0, up, below, trans_a=1, trans_b=1)
+            rhs[:, 0] = blas.dgemv(1.0, ub, below[0], trans=1)
+            down = blas.dgemm(1.0, dn, above, trans_a=1, trans_b=1)
+            down[:, -1] = blas.dgemv(1.0, dt, above[-1], trans=1)
+            rhs += down
+        x, _ = lapack.dgetrs(g, piv, rhs, trans=1)
+        pi[levels[1::2] if len(levels) % 2 else levels[-1:]] = x.T
     pi /= pi.sum()
     flow = np.zeros((n + 2, n + 2))  # pi P, padded by the states one step out
     for di in range(3):
@@ -221,7 +221,7 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
             flow[di:di + n, dj:dj + n] += a[di, dj] * pi
     residual = float(np.abs(flow[1:-1, 1:-1] - pi).sum())
     return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=pi, residual=residual, levels_factored=levels_factored)
+        n_grid=n_grid, pi=pi, residual=residual, levels_factored=len(stages) + 1)
 
 
 def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequence:

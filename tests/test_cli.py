@@ -120,7 +120,7 @@ def test_verify_product_exit_zero(product_file, tmp_path):
     oracle = body["oracle"]
     assert oracle["n_grid"] == 96
     assert 0.0 <= oracle["residual"] < 1e-11
-    assert 2 <= oracle["levels_factored"] <= 97
+    assert 2 <= oracle["levels_factored"] <= 15  # 2 ceil(log2(N + 1)) + 1
 
 
 def test_verify_text_format(product_file, capsys):

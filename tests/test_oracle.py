@@ -160,8 +160,8 @@ def test_level_reduction_matches_banded_solver(
 
 
 def _solve_levels(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
-    """Reference: level reduction that factors every level, as the solver
-    did before it reused a repeating cycle of level factors."""
+    """Reference: linear level reduction, factoring levels N..1 in turn and
+    back-substituting level by level."""
     require_stable(model)
     if n_grid < 32:
         raise ValueError("grid must be at least 32")
@@ -207,6 +207,7 @@ def _solve_levels(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDist
         n_grid=n_grid, pi=pi, residual=residual, levels_factored=n_grid + 1)
 
 
+TINY = np.finfo(float).tiny
 NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch",
          "x_shaped", "tangent", "degenerate_tangent", "double_pole")
 
@@ -241,26 +242,38 @@ def _assert_kappa_snapped(dist: EmpiricalStationaryDistribution, fits) -> None:
             dist.n_grid, direction, f.kappa_hat, f.kappa_selected)
 
 
+def _assert_matches_levels(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
+    """solve_truncated against the every-level reference `_solve_levels`:
+    the same zero pattern, 1e-12 relative on the cells of normal float64
+    magnitude and `tiny` absolute on the cells below it (the two reductions
+    sum in different orders), a residual at most 1e-15, and the same
+    verdicts.  Returns the solver's distribution."""
+    got, want = solve_truncated(model, n_grid), _solve_levels(model, n_grid)
+    assert np.array_equal(got.pi == 0.0, want.pi == 0.0)
+    normal = want.pi >= TINY
+    assert np.abs(got.pi[normal] / want.pi[normal] - 1.0).max() <= 1e-12
+    assert np.abs(got.pi[~normal] - want.pi[~normal]).max(initial=0.0) <= TINY
+    assert got.residual <= 1e-15
+    verdicts = [{d: r.passed for d, r in verify_model(model, n_grid, dist).items()}
+                for dist in (got, want)]
+    assert verdicts[0] == verdicts[1]
+    return got
+
+
 @pytest.mark.parametrize("name", NAMED)
 def test_cycle_reuse_matches_every_level_factored(name, request):
+    """The solver against the every-level reference on the named models."""
     model = request.getfixturevalue(name)
     for n_grid in (32, 100, 150):
-        got = solve_truncated(model, n_grid)
-        want = _solve_levels(model, n_grid)
-        assert np.array_equal(got.pi, want.pi), (name, n_grid)
-        assert got.residual == want.residual
-        assert 2 <= got.levels_factored <= n_grid + 1
+        got = _assert_matches_levels(model, n_grid)
         _assert_kappa_snapped(got, {d: fit_tail(extract(got, d)) for d in DIRECTIONS})
 
 
 @pytest.mark.parametrize("params", [(0.1, 0.3, 0.15, 0.45), (0.001, 0.499, 0.001, 0.499)])
 def test_cycle_reuse_matches_on_the_benchmark_grid(params):
     model = qt.independent_mm1(*params)
-    got = solve_truncated(model, 200)
-    want = _solve_levels(model, 200)
-    assert np.array_equal(got.pi, want.pi)
-    assert got.residual == want.residual
-    assert got.levels_factored < 201
+    got = _assert_matches_levels(model, 200)
+    assert got.levels_factored == 11
     # both models pass all five directions; the rate-499 model's fit
     # window holds subnormal values, which must not read as a parity
     # oscillation
@@ -269,9 +282,19 @@ def test_cycle_reuse_matches_on_the_benchmark_grid(params):
         d: (r.rate_gap, r.kappa_gap, r.fitted.b_hat) for d, r in reports.items()}
 
 
+@pytest.mark.parametrize("n_grid", (32, 33, 63, 64, 65, 127, 128))
+def test_cyclic_reduction_stages(n_grid, jackson_paper, x_shaped, double_pole):
+    # N = 2^k - 1 leaves an odd top index at every stage, so each halving
+    # takes two factors; N = 2^k halves at every stage but the last
+    for model in (jackson_paper, x_shaped, double_pole):
+        got = _assert_matches_levels(model, n_grid)
+        assert got.levels_factored <= 2 * math.ceil(math.log2(n_grid + 1)) + 1
+
+
 def test_interior_levels_have_the_same_steps(jackson_paper, x_shaped):
-    # the cycle reuse of solve_truncated rests on this: levels 1..N-1 see
-    # the same step masses, bit for bit
+    # the cyclic reduction of solve_truncated rests on this: levels 1..N-1
+    # see the same step masses, bit for bit, so one factor of their shared
+    # block serves every odd level of a stage
     for model in (jackson_paper, x_shaped):
         a = _steps(model, 60)
         for k in range(2, 60):
