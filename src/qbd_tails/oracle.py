@@ -30,7 +30,7 @@ class EmpiricalStationaryDistribution:
     n_grid: int
     pi: np.ndarray  # shape (n_grid + 1, n_grid + 1)
     residual: float  # one-step stationarity defect, L1
-    levels_factored: int  # GTH block factorisations: one per reduction stage, and level 0
+    levels_factored: int  # GTH block factors: one per stage, levels 0 and N, the last level
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,16 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
     & Meini, Numerical Methods for Structured Markov Chains, 2005).
 
     The walk is skip-free, so the chain censored to any set of levels is
-    block tridiagonal: level 0 (local, up), one triple (dn, local, up) that
-    levels 1..K-1 share, and the top level K (dn, local).  While K > 0, a
-    stage censors out the top level if K is odd (I - local factored, exit
-    mass its down steps) and levels 1, 3, .., K-1 if K is even (the shared
-    M = I - local factored once, exit mass its up and down steps; the even
-    levels' blocks gain their products with X = M^-1 [up | dn]).  At most
-    2 ceil(log2(N + 1)) + 1 blocks are factored, the last level 0's, with
-    state (0, 0) last.  The stages are then replayed in reverse, pi_odd =
-    (pi_below up + pi_above dn) M^-1, each by one transposed solve.
+    block tridiagonal, and levels 1..N-1 share one triple (dn, local, up).
+    Levels 0 and N are censored out first (exit mass their up and their
+    down steps), so level 1 goes up by up and level N-1 down by dn.  Until
+    one level is left, a stage censors out the top one if the count is even
+    and else every second one: M = I - local is factored once, and with
+    X = M^-1 [up | dn] = [H | L] one product P = [up; dn] X gives the kept
+    levels up H, dn L and local + up L + dn H (bottom + up L, top + dn H),
+    the H^2, L^2, HL + LH step of logarithmic reduction.  At most
+    2 ceil(log2(N + 1)) + 1 blocks are factored (15 at N = 300).  The stages
+    are replayed in reverse, pi_odd = [pi_below | pi_above] [up; dn] M^-1.
 
     The blocks, and pi P for the residual |pi P - pi|_1, are read off
     a[di + 1, dj + 1, i, j], the probability of the step (i, j) ->
@@ -171,49 +172,48 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
     a = _steps(model, n_grid)
     piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
     # level i's steps to level i + d - 1, for level 0, level 1 and level N
-    lb, ub, dn, loc, up, dt, lt = (
+    l0, u0, d1, loc, u1, dN, lN = (
         _add_tridiag(np.zeros((n, n), order="F"), a[d, :, i])
         for d, i in ((1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, n_grid), (1, n_grid)))
-    levels = np.arange(n)  # the original index of each level left
-    stages = []  # (levels, factor, blocks into the levels censored out)
+    g0, gN = _gth_factor(l0, u0.sum(axis=1)), _gth_factor(lN, dN.sum(axis=1))
     # scipy's BLAS for every product, for the reason given in `_gth_lu`
+    lb = blas.dgemm(1.0, d1, lapack.dgetrs(g0, piv, u0)[0], 1.0, loc)
+    lt = blas.dgemm(1.0, u1, lapack.dgetrs(gN, piv, dN)[0], 1.0, loc)
+    up, dn, levels = u1, d1, np.arange(1, n_grid)  # levels left, by index
+    stages = []  # (levels, factor, up, dn)
     while len(levels) > 1:
-        if len(levels) % 2 == 0:  # K odd
-            g = _gth_factor(lt, dt.sum(axis=1))
-            x, _ = lapack.dgetrs(g, piv, dt)
-            into, local = (ub, lb) if len(levels) == 2 else (up, loc)  # level K-1's
-            stages.append((levels, g, (into,)))
-            # level K-1 is the new top; the last stage (K = 1) leaves level 0
-            lt, dt = blas.dgemm(1.0, into, x, 1.0, local), dn
+        if len(levels) % 2 == 0:  # the top level; the one below is the new top
+            g = _gth_factor(lt, dn.sum(axis=1))
+            stages.append((levels, g, up, dn))
+            x, _ = lapack.dgetrs(g, piv, dn)
+            lt = blas.dgemm(1.0, up, x, 1.0, lb if len(levels) == 2 else loc)
             levels = levels[:-1]
         else:
             g = _gth_factor(loc, up.sum(axis=1) + dn.sum(axis=1))
-            x, _ = lapack.dgetrs(g, piv, np.hstack((up, dn)))
-            stages.append((levels, g, (ub, up, dn, dt)))
-            pb, pu, pd, pt = (blas.dgemm(1.0, m, x) for m in (ub, up, dn, dt))
-            lb, ub = lb + pb[:, n:], pb[:, :n]
-            loc, dn, up = loc + pd[:, :n] + pu[:, n:], pd[:, n:], pu[:, :n]
-            lt, dt = lt + pt[:, :n], pt[:, n:]
+            stages.append((levels, g, up, dn))
+            x, _ = lapack.dgetrs(g, piv, np.hstack((up, dn)), overwrite_b=1)
+            p = blas.dgemm(1.0, np.vstack((up, dn)), x)
+            lb += p[:n, n:]
+            lt += p[n:, :n]
+            loc = loc + p[:n, n:] + p[n:, :n]
+            up, dn = np.asfortranarray(p[:n, :n]), np.asfortranarray(p[n:, n:])
             levels = levels[::2]
-    # level 0 reversed, so that the state left after elimination is (0, 0):
-    # pi_0 is then the last row of L^{-1}
+    # level 1 reversed, so that the state left after elimination is (1, 0):
+    # pi_1 is then the last row of L^{-1}
     g = _gth_factor(lt[::-1, ::-1], np.zeros(n))
     last, _ = lapack.dtrtrs(g, np.eye(n)[:, -1:], lower=1, trans=1, unitdiag=1)
     pi = np.empty((n, n))
-    pi[0] = last[::-1, 0]
-    for levels, g, blocks in reversed(stages):
+    pi[1] = last[::-1, 0]
+    for levels, g, up, dn in reversed(stages):
         if len(levels) % 2 == 0:  # the top level, from the level below
-            rhs = blas.dgemv(1.0, blocks[0], pi[levels[-2]], trans=1)[:, None]
+            rhs = blas.dgemv(1.0, up, pi[levels[-2]], trans=1)[:, None]
         else:  # the odd levels, from the even levels on both sides
-            ub, up, dn, dt = blocks
-            below, above = pi[levels[:-1:2]], pi[levels[2::2]]
-            rhs = blas.dgemm(1.0, up, below, trans_a=1, trans_b=1)
-            rhs[:, 0] = blas.dgemv(1.0, ub, below[0], trans=1)
-            down = blas.dgemm(1.0, dn, above, trans_a=1, trans_b=1)
-            down[:, -1] = blas.dgemv(1.0, dt, above[-1], trans=1)
-            rhs += down
+            rhs = blas.dgemm(1.0, np.vstack((up, dn)), np.hstack(
+                (pi[levels[:-1:2]], pi[levels[2::2]])), trans_a=1, trans_b=1)
         x, _ = lapack.dgetrs(g, piv, rhs, trans=1)
         pi[levels[1::2] if len(levels) % 2 else levels[-1:]] = x.T
+    for i, g, into, j in ((0, g0, d1, 1), (n_grid, gN, u1, n_grid - 1)):  # levels 0, N
+        pi[i] = lapack.dgetrs(g, piv, blas.dgemv(1.0, into, pi[j], trans=1), trans=1)[0]
     pi /= pi.sum()
     flow = np.zeros((n + 2, n + 2))  # pi P, padded by the states one step out
     for di in range(3):
@@ -221,7 +221,7 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
             flow[di:di + n, dj:dj + n] += a[di, dj] * pi
     residual = float(np.abs(flow[1:-1, 1:-1] - pi).sum())
     return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=pi, residual=residual, levels_factored=len(stages) + 1)
+        n_grid=n_grid, pi=pi, residual=residual, levels_factored=len(stages) + 3)
 
 
 def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequence:

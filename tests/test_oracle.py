@@ -261,7 +261,7 @@ def _assert_matches_levels(model: ValidatedModel, n_grid: int) -> EmpiricalStati
 
 
 @pytest.mark.parametrize("name", NAMED)
-def test_cycle_reuse_matches_every_level_factored(name, request):
+def test_solver_matches_every_level_reference(name, request):
     """The solver against the every-level reference on the named models."""
     model = request.getfixturevalue(name)
     for n_grid in (32, 100, 150):
@@ -270,10 +270,10 @@ def test_cycle_reuse_matches_every_level_factored(name, request):
 
 
 @pytest.mark.parametrize("params", [(0.1, 0.3, 0.15, 0.45), (0.001, 0.499, 0.001, 0.499)])
-def test_cycle_reuse_matches_on_the_benchmark_grid(params):
+def test_solver_matches_every_level_reference_on_the_benchmark_grid(params):
     model = qt.independent_mm1(*params)
     got = _assert_matches_levels(model, 200)
-    assert got.levels_factored == 11
+    assert got.levels_factored == 14
     # both models pass all five directions; the rate-499 model's fit
     # window holds subnormal values, which must not read as a parity
     # oscillation
@@ -282,13 +282,45 @@ def test_cycle_reuse_matches_on_the_benchmark_grid(params):
         d: (r.rate_gap, r.kappa_gap, r.fitted.b_hat) for d, r in reports.items()}
 
 
-@pytest.mark.parametrize("n_grid", (32, 33, 63, 64, 65, 127, 128))
+def _halvings(n_grid: int) -> tuple[int, int]:
+    """(halving stages, top steps) of the cyclic reduction on levels
+    1..N-1, the levels left once levels 0 and N are censored out."""
+    count, halvings, tops = n_grid - 1, 0, 0
+    while count > 1:
+        if count % 2:
+            count, halvings = (count + 1) // 2, halvings + 1
+        else:
+            count, tops = count - 1, tops + 1
+    return halvings, tops
+
+
+@pytest.mark.parametrize("n_grid", (32, 33, 63, 64, 65, 127, 128, 129))
 def test_cyclic_reduction_stages(n_grid, jackson_paper, x_shaped, double_pole):
-    # N = 2^k - 1 leaves an odd top index at every stage, so each halving
-    # takes two factors; N = 2^k halves at every stage but the last
+    # once levels 0 and N come off, N - 1 = 2^k - 1 levels leave an odd
+    # count at every halving, so each halving but the first takes a top step
+    # before it (the most factors); N - 1 = 2^k + 1 halves at every stage
+    # but the last
     for model in (jackson_paper, x_shaped, double_pole):
         got = _assert_matches_levels(model, n_grid)
         assert got.levels_factored <= 2 * math.ceil(math.log2(n_grid + 1)) + 1
+
+
+@pytest.mark.parametrize("n_grid", (64, 65))
+def test_one_product_per_halving_stage(n_grid, x_shaped, monkeypatch):
+    # a halving stage makes one product, P = [up; dn] X, and its right
+    # operand X = M^-1 [up | dn] is the solve's only one of shape (n, 2n)
+    n = n_grid + 1
+    dgemm, shapes = oracle.blas.dgemm, []
+
+    def counted(alpha, a, b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return dgemm(alpha, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.blas, "dgemm", counted)
+    got = solve_truncated(x_shaped, n_grid)
+    halvings, tops = _halvings(n_grid)
+    assert shapes.count((n, 2 * n)) == halvings
+    assert got.levels_factored == halvings + tops + 3
 
 
 def test_interior_levels_have_the_same_steps(jackson_paper, x_shaped):
