@@ -87,12 +87,18 @@ def run_verify(args) -> int:
         _dump(report.to_dict(), args.format, args.out)
         return EXIT_UNSTABLE
     dist = oracle.solve_truncated(model, args.n_grid)
+    body = report.to_dict()
+    solve = {
+        "n_grid": dist.n_grid,
+        "residual": dist.residual,
+        "levels_factored": dist.levels_factored,
+    }
     try:
         reports = oracle.verify_model(model, n_grid=args.n_grid, dist=dist)
-    except ValueError as exc:
+    except ValueError as exc:  # the solve stands; only the fit failed
+        _dump(asymptotics.round12({**body, "oracle": solve}), args.format, args.out)
         print(f"oracle could not fit a tail: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
-    body = report.to_dict()
     body["verification"] = {
         name: {
             "passed": r.passed,
@@ -110,13 +116,8 @@ def run_verify(args) -> int:
         }
         for name, r in reports.items()
     }
-    body["oracle"] = {
-        "n_grid": dist.n_grid,
-        "residual": dist.residual,
-        "levels_factored": dist.levels_factored,
-    }
-    body = asymptotics.round12(body)
-    _dump(body, args.format, args.out)
+    body["oracle"] = solve
+    _dump(asymptotics.round12(body), args.format, args.out)
     failing = [name for name, r in reports.items() if not r.passed]
     if failing:
         print("verification failed for: " + ", ".join(failing), file=sys.stderr)

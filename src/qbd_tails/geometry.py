@@ -181,7 +181,7 @@ def _extreme_r(model: ValidatedModel, axis: int,
         desc = np.trim_zeros(_crossing_poly(model, axis)[::-1], "f")
         if desc.size >= 2:
             for z in kernel._polish_roots(desc, np.roots(desc)):
-                if abs(z.imag) > 1e-8 * (1 + abs(z.real)):
+                if abs(z.imag) >= kernel._REAL_ROOT_RTOL * (1.0 + abs(z.real)):
                     continue
                 z = float(z.real)
                 if not (tie_sign(z, 1.0) > 0 and z <= bp.u_max * (1 + 1e-10)):

@@ -127,7 +127,8 @@ class TransitionKernel:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """Four kernels plus the certificates recorded when they were checked."""
+    """The four face kernels of a model, as `validate` returns them once it
+    has checked them."""
 
     interior: TransitionKernel
     boundary1: TransitionKernel

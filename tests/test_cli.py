@@ -147,12 +147,17 @@ def test_verify_unfittable_tail_exit_four(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "uf.json")
     assert main(["gen", "mm1", "0.0001", "0.4999", "0.0001", "0.4999",
                  "--out", path]) == 0
-    code = main(["verify", "--model", path, "--n-grid", "100",
-                 "--out", str(tmp_path / "v.json")])
+    out = tmp_path / "v.json"
+    out.write_text('{"old": 1}')
+    code = main(["verify", "--model", path, "--n-grid", "100", "--out", str(out)])
     assert code == 4
     err = capsys.readouterr().err
     assert err == ("oracle could not fit a tail: tail underflows float64 from "
                    "n = 88 inside window 30..95; a smaller grid can fit it\n")
+    # the solve succeeded, so its report replaces what the file held
+    body = json.loads(out.read_text())
+    assert "classes" in body and "verification" not in body
+    assert body["oracle"]["n_grid"] == 100
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "plot"])
