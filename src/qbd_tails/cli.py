@@ -80,12 +80,12 @@ def run_analyze(args) -> int:
 def run_verify(args) -> int:
     from . import oracle  # the oracle, and scipy with it, loads only here
     model = _load(args.model)
-    if args.out:  # an --out that cannot be written fails before the solve
-        open(args.out, "a").close()
     report = asymptotics.full_report(model, source=args.model)
     if not report.stable:
         _dump(report.to_dict(), args.format, args.out)
         return EXIT_UNSTABLE
+    if args.out:  # an --out that cannot be written fails before the solve
+        open(args.out, "a").close()
     dist = oracle.solve_truncated(model, args.n_grid)
     body = report.to_dict()
     solve = {
@@ -127,17 +127,15 @@ def run_verify(args) -> int:
 
 def run_plot(args) -> int:
     model = _load(args.model)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for curve, fname in (("gamma_plus", "gamma_plus.csv"),
-                         ("gamma1", "gamma1.csv"),
-                         ("gamma2", "gamma2.csv"),
-                         ("domain", "domain.csv")):
+    # every file's text is made before anything is written, so an analysis
+    # failure leaves no output behind
+    texts = {}
+    for curve in ("gamma_plus", "gamma1", "gamma2", "domain"):
         sample = geometry.sample_boundary(model, curve, args.n)
         rows = ["curve,theta1,theta2,u1,u2"]
         for (t1, t2), (u1, u2) in zip(sample.theta, sample.u):
             rows.append(f"{curve},{t1:.12g},{t2:.12g},{u1:.12g},{u2:.12g}")
-        (outdir / fname).write_text("\n".join(rows) + "\n")
+        texts[f"{curve}.csv"] = "\n".join(rows) + "\n"
     geo = geometry.compute_geometry(model)
     sig = asymptotics.sigma_points(model)
     pts = [("u1_r", geo.axis1.u_r), ("u2_r", geo.axis2.u_r),
@@ -155,7 +153,11 @@ def run_plot(args) -> int:
         if pt is None:
             continue
         rows.append(f"{name},{pt[0]:.12g},{pt[1]:.12g}")
-    (outdir / "points.csv").write_text("\n".join(rows) + "\n")
+    texts["points.csv"] = "\n".join(rows) + "\n"
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for fname, text in texts.items():
+        (outdir / fname).write_text(text)
     return EXIT_OK
 
 

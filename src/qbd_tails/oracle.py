@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 
 from .asymptotics import DIRECTIONS, AsymptoticClass, classes
 from .model import FACES, ValidatedModel, grid_steps, require_stable
@@ -30,7 +30,7 @@ class EmpiricalStationaryDistribution:
     n_grid: int
     pi: np.ndarray  # shape (n_grid + 1, n_grid + 1)
     residual: float  # one-step stationarity defect, L1
-    levels_factored: int  # GTH block factors: one per stage, levels 0 and N, the last level
+    levels_factored: int  # GTH block factors: one per censoring step, and the last level
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,14 @@ def _add_tridiag(out: np.ndarray, diags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gth_factor(local: np.ndarray, exit_mass: np.ndarray) -> np.ndarray:
-    """`_gth_lu` factor of I - local, the exit mass on its diagonal."""
+def _censor(into: np.ndarray, local: np.ndarray, exit_mass: np.ndarray) -> np.ndarray:
+    """W = into (I - local)^-1: the `_gth_lu` factor LU of I - local, the
+    exit mass on its diagonal, then W L U = into by two right-side
+    triangular solves.  U's diagonal is positive and every other entry of
+    L and U is <= 0, so each solve only adds nonnegative terms."""
     g = np.negative(local, order="F")
     _gth_lu(g, -exit_mass)
-    return g
+    return blas.dtrsm(1.0, g, blas.dtrsm(1.0, g, into, side=1), side=1, lower=1, diag=1)
 
 
 def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDistribution:
@@ -148,19 +151,23 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
 
     The walk is skip-free, so the chain censored to any set of levels is
     block tridiagonal, and levels 1..N-1 share one triple (dn, local, up).
-    Levels 0 and N are censored out first (exit mass their up and their
-    down steps), so level 1 goes up by up and level N-1 down by dn.  Until
-    one level is left, a stage censors out the top one if the count is even
-    and else every second one: M = I - local is factored once, and with
-    X = M^-1 [up | dn] = [H | L] one product P = [up; dn] X gives the kept
-    levels up H, dn L and local + up L + dn H (bottom + up L, top + dn H),
-    the H^2, L^2, HL + LH step of logarithmic reduction.  At most
-    2 ceil(log2(N + 1)) + 1 blocks are factored (15 at N = 300).  The stages
-    are replayed in reverse, pi_odd = [pi_below | pi_above] [up; dn] M^-1.
+    Every censoring step is one `_censor`, W = into (I - local)^-1 (one GTH
+    factor, two right-side triangular solves), and one product.  Levels 0
+    and N go first, W0 = d1 (I - l0)^-1 and WN = u1 (I - lN)^-1, so level 1
+    goes up by up and level N-1 down by dn.  Until one level is left, a
+    stage censors out the top one if the count is even, W = up (I - lt)^-1
+    and lt <- W dn plus the local block below, and else every second one:
+    W = [up; dn] M^-1, M = I - local, and one product P = W [up | dn] gives
+    the kept levels up H, dn L and local + up L + dn H (bottom + up L, top
+    + dn H), the H^2, L^2, HL + LH step of logarithmic reduction.  At most
+    2 ceil(log2(N + 1)) + 1 blocks are factored (15 at N = 300).  The steps
+    are replayed in reverse, one product each: pi of the levels a step
+    censored out is W times pi of the levels they step in from,
+    pi_odd = [pi_below | pi_above] W.
 
     The blocks, and pi P for the residual |pi P - pi|_1, are read off
     a[di + 1, dj + 1, i, j], the probability of the step (i, j) ->
-    (i + di, j + dj) (`grid_steps` over its row sums).  Every block, X and
+    (i + di, j + dj) (`grid_steps` over its row sums).  Every block, W and
     exit mass is a sum of nonnegative terms, so no operation subtracts and
     the stationary vector keeps componentwise relative accuracy at any
     magnitude, which the tail fits require.
@@ -170,29 +177,26 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
         raise ValueError("grid must be at least 32")
     n = n_grid + 1
     a = _steps(model, n_grid)
-    piv = np.arange(n, dtype=np.int32)  # no row interchanges (0-based)
     # level i's steps to level i + d - 1, for level 0, level 1 and level N
     l0, u0, d1, loc, u1, dN, lN = (
         _add_tridiag(np.zeros((n, n), order="F"), a[d, :, i])
         for d, i in ((1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, n_grid), (1, n_grid)))
-    g0, gN = _gth_factor(l0, u0.sum(axis=1)), _gth_factor(lN, dN.sum(axis=1))
+    w0, wN = _censor(d1, l0, u0.sum(axis=1)), _censor(u1, lN, dN.sum(axis=1))
     # scipy's BLAS for every product, for the reason given in `_gth_lu`
-    lb = blas.dgemm(1.0, d1, lapack.dgetrs(g0, piv, u0)[0], 1.0, loc)
-    lt = blas.dgemm(1.0, u1, lapack.dgetrs(gN, piv, dN)[0], 1.0, loc)
+    lb, lt = blas.dgemm(1.0, w0, u0, 1.0, loc), blas.dgemm(1.0, wN, dN, 1.0, loc)
+    # (levels solved, the levels each is solved from, W)
+    stages = [([0], [[1]], w0), ([n_grid], [[n_grid - 1]], wN)]
     up, dn, levels = u1, d1, np.arange(1, n_grid)  # levels left, by index
-    stages = []  # (levels, factor, up, dn)
     while len(levels) > 1:
         if len(levels) % 2 == 0:  # the top level; the one below is the new top
-            g = _gth_factor(lt, dn.sum(axis=1))
-            stages.append((levels, g, up, dn))
-            x, _ = lapack.dgetrs(g, piv, dn)
-            lt = blas.dgemm(1.0, up, x, 1.0, lb if len(levels) == 2 else loc)
+            w = _censor(up, lt, dn.sum(axis=1))
+            stages.append((levels[-1:], levels[-2:-1, None], w))
+            lt = blas.dgemm(1.0, w, dn, 1.0, lb if len(levels) == 2 else loc)
             levels = levels[:-1]
         else:
-            g = _gth_factor(loc, up.sum(axis=1) + dn.sum(axis=1))
-            stages.append((levels, g, up, dn))
-            x, _ = lapack.dgetrs(g, piv, np.hstack((up, dn)), overwrite_b=1)
-            p = blas.dgemm(1.0, np.vstack((up, dn)), x)
+            w = _censor(np.vstack((up, dn)), loc, up.sum(axis=1) + dn.sum(axis=1))
+            stages.append((levels[1::2], np.column_stack((levels[:-1:2], levels[2::2])), w))
+            p = blas.dgemm(1.0, w, np.hstack((up, dn)))
             lb += p[:n, n:]
             lt += p[n:, :n]
             loc = loc + p[:n, n:] + p[n:, :n]
@@ -200,20 +204,12 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
             levels = levels[::2]
     # level 1 reversed, so that the state left after elimination is (1, 0):
     # pi_1 is then the last row of L^{-1}
-    g = _gth_factor(lt[::-1, ::-1], np.zeros(n))
-    last, _ = lapack.dtrtrs(g, np.eye(n)[:, -1:], lower=1, trans=1, unitdiag=1)
+    g = np.negative(lt[::-1, ::-1], order="F")
+    _gth_lu(g, np.zeros(n))
     pi = np.empty((n, n))
-    pi[1] = last[::-1, 0]
-    for levels, g, up, dn in reversed(stages):
-        if len(levels) % 2 == 0:  # the top level, from the level below
-            rhs = blas.dgemv(1.0, up, pi[levels[-2]], trans=1)[:, None]
-        else:  # the odd levels, from the even levels on both sides
-            rhs = blas.dgemm(1.0, np.vstack((up, dn)), np.hstack(
-                (pi[levels[:-1:2]], pi[levels[2::2]])), trans_a=1, trans_b=1)
-        x, _ = lapack.dgetrs(g, piv, rhs, trans=1)
-        pi[levels[1::2] if len(levels) % 2 else levels[-1:]] = x.T
-    for i, g, into, j in ((0, g0, d1, 1), (n_grid, gN, u1, n_grid - 1)):  # levels 0, N
-        pi[i] = lapack.dgetrs(g, piv, blas.dgemv(1.0, into, pi[j], trans=1), trans=1)[0]
+    pi[1] = blas.dtrsm(1.0, g, np.eye(1, n, n - 1), side=1, lower=1, diag=1)[0, ::-1]
+    for solved, sources, w in reversed(stages):
+        pi[solved] = blas.dgemm(1.0, pi[sources].reshape(len(solved), -1), w)
     pi /= pi.sum()
     flow = np.zeros((n + 2, n + 2))  # pi P, padded by the states one step out
     for di in range(3):
@@ -221,7 +217,7 @@ def solve_truncated(model: ValidatedModel, n_grid: int) -> EmpiricalStationaryDi
             flow[di:di + n, dj:dj + n] += a[di, dj] * pi
     residual = float(np.abs(flow[1:-1, 1:-1] - pi).sum())
     return EmpiricalStationaryDistribution(
-        n_grid=n_grid, pi=pi, residual=residual, levels_factored=len(stages) + 3)
+        n_grid=n_grid, pi=pi, residual=residual, levels_factored=len(stages) + 1)
 
 
 def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequence:

@@ -174,9 +174,10 @@ def test_analysis_error_exit_five(command, error, product_file, tmp_path,
     err = capsys.readouterr().err
     assert code == 5
     assert err == "analysis failed: no extreme point\n"
+    assert not (tmp_path / "out").exists()  # a failed analysis writes nothing
 
 
-@pytest.mark.parametrize("command", ["analyze", "plot"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "plot"])
 def test_vertical_face_tied_with_one_exit_five(command, tmp_path, capsys):
     # the face curve stands at u1 = 1 + 3.3e-10, a tie with 1 under EQ_TOL,
     # so no crossing lies above 1 while the face exceeds 1 at the branch point
@@ -186,6 +187,7 @@ def test_vertical_face_tied_with_one_exit_five(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 5
     assert err.startswith("analysis failed: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

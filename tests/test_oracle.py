@@ -307,20 +307,25 @@ def test_cyclic_reduction_stages(n_grid, jackson_paper, x_shaped, double_pole):
 
 @pytest.mark.parametrize("n_grid", (64, 65))
 def test_one_product_per_halving_stage(n_grid, x_shaped, monkeypatch):
-    # a halving stage makes one product, P = [up; dn] X, and its right
-    # operand X = M^-1 [up | dn] is the solve's only one of shape (n, 2n)
+    # a halving stage makes one product, P = W [up | dn], and its right
+    # operand [up | dn] is the solve's only one of shape (n, 2n); the
+    # back-substitution makes one product per censoring step, pi[solved] =
+    # [pi[sources]] W, the only products whose left operand has fewer than
+    # n rows and n or 2n columns (a GTH factor's L21 has fewer than n)
     n = n_grid + 1
     dgemm, shapes = oracle.blas.dgemm, []
 
     def counted(alpha, a, b, *args, **kwargs):
-        shapes.append(np.shape(b))
+        shapes.append((np.shape(a), np.shape(b)))
         return dgemm(alpha, a, b, *args, **kwargs)
 
     monkeypatch.setattr(oracle.blas, "dgemm", counted)
     got = solve_truncated(x_shaped, n_grid)
     halvings, tops = _halvings(n_grid)
-    assert shapes.count((n, 2 * n)) == halvings
+    assert [b for _, b in shapes].count((n, 2 * n)) == halvings
     assert got.levels_factored == halvings + tops + 3
+    replayed = [a for a, _ in shapes if a[0] < n and a[1] in (n, 2 * n)]
+    assert len(replayed) == got.levels_factored - 1
 
 
 def test_interior_levels_have_the_same_steps(jackson_paper, x_shaped):
