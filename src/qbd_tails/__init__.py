@@ -64,11 +64,7 @@ from .asymptotics import (
     marginal_class,
     sigma_points,
 )
-from .netgen import (
-    JacksonSimParams,
-    independent_mm1,
-    jackson_model,
-)
+from .netgen import independent_mm1, jackson_model
 
 __version__ = "0.1.0"
 

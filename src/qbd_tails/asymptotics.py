@@ -17,13 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernel
-from .geometry import (  # noqa: F401  (the sigma roots are re-exported here)
-    SigmaPoints,
-    compute_geometry,
-    sigma_diag,
-    sigma_plus,
-    tie_sign,
-)
+from .geometry import SigmaPoints, compute_geometry, tie_sign
 from .model import ValidatedModel, arithmetic_profile, check_stability, drifts
 
 

@@ -22,6 +22,8 @@ from .model import (
     ModelFileError,
     UnstableModelError,
     ValidationError,
+    check_stability,
+    drifts,
     load_model,
 )
 
@@ -170,7 +172,7 @@ def run_gen(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.family == "jackson" and not netgen.JacksonSimParams(*args.params).stable():
+    if not check_stability(drifts(model)).stable:
         print("unstable", file=sys.stderr)
     text = json.dumps(model.to_document(), indent=2) + "\n"
     if args.out:
@@ -198,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="analyze plus oracle verification")
     vp.add_argument("--n-grid", type=int, default=300)
 
-    pp = sub.add_parser("plot", parents=[common], help="emit domain CSV data")
+    pp = sub.add_parser("plot", help="emit domain CSV data")
+    pp.add_argument("--model", required=True, help="model JSON file")
+    pp.add_argument("--out", required=True, help="output directory")
     pp.add_argument("--n", type=int, default=200, help="points per curve")
 
     gp = sub.add_parser("gen", help="generate an example model file")

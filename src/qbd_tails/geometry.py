@@ -20,6 +20,7 @@ from . import kernel
 from .model import ValidatedModel, require_stable
 
 EQ_TOL = 1e-9  # equality tolerance for the category and case decisions
+_CROSSING_NEWTON_STEPS = 40  # most Newton steps that polish a face crossing
 
 
 def tie_sign(x: float, y: float) -> int:
@@ -39,7 +40,6 @@ class GeometryError(RuntimeError):
 class AxisGeometry:
     """Extreme points along one coordinate, all in u-space."""
 
-    axis: int
     u_min: float
     u_max: float
     u_max_pt: tuple[float, float]  # rightmost curve point (branch point)
@@ -67,7 +67,6 @@ class Geometry:
 
 @dataclass(frozen=True)
 class DomainSample:
-    curve: str
     theta: tuple[tuple[float, float], ...]
     u: tuple[tuple[float, float], ...]
 
@@ -88,10 +87,10 @@ def _gamma_value_and_grad(mat, z, w):
     return g, g1, g2
 
 
-def _newton_polish_crossing(m, q, z, w, steps=40):
+def _newton_polish_crossing(m, q, z, w):
     """Newton iteration on (gamma_plus - 1, gamma_face - 1), with the interior
     and face mass matrices `m` and `q` in the face's own frame."""
-    for _ in range(steps):
+    for _ in range(_CROSSING_NEWTON_STEPS):
         f0, a11, a12 = _gamma_value_and_grad(m, z, w)
         f1, a21, a22 = _gamma_value_and_grad(q, z, w)
         f0 -= 1.0
@@ -178,22 +177,18 @@ def _extreme_r(model: ValidatedModel, axis: int,
                 if on_curve(z, w):
                     candidates.append((z, w))
     else:
-        desc = np.trim_zeros(_crossing_poly(model, axis)[::-1], "f")
-        if desc.size >= 2:
-            for z in kernel._polish_roots(desc, np.roots(desc)):
-                if abs(z.imag) >= kernel._REAL_ROOT_RTOL * (1.0 + abs(z.real)):
-                    continue
-                z = float(z.real)
-                if not (tie_sign(z, 1.0) > 0 and z <= bp.u_max * (1 + 1e-10)):
-                    continue
-                z = min(z, bp.u_max)
-                bz = float(np.polynomial.polynomial.polyval(z, b))
-                if abs(bz) < 1e-14:
-                    continue
-                w = (z - float(np.polynomial.polynomial.polyval(z, a))) / bz
-                z, w = _newton_polish_crossing(m, q, z, w)
-                if tie_sign(z, 1.0) > 0 and on_curve(z, w):
-                    candidates.append((float(z), float(w)))
+        roots, real = kernel.real_roots(_crossing_poly(model, axis))
+        for z in roots[real].real.tolist():
+            if not (tie_sign(z, 1.0) > 0 and z <= bp.u_max * (1 + 1e-10)):
+                continue
+            z = min(z, bp.u_max)
+            bz = float(np.polynomial.polynomial.polyval(z, b))
+            if abs(bz) < 1e-14:
+                continue
+            w = (z - float(np.polynomial.polynomial.polyval(z, a))) / bz
+            z, w = _newton_polish_crossing(m, q, z, w)
+            if tie_sign(z, 1.0) > 0 and on_curve(z, w):
+                candidates.append((float(z), float(w)))
     if not candidates:
         return None
     z, w = max(candidates, key=lambda zw: zw[0])
@@ -216,7 +211,6 @@ def _axis_geometry(model: ValidatedModel, axis: int) -> AxisGeometry:
             f"face curve exceeds 1 at the axis-{axis} branch point but no "
             "crossing was found")
     return AxisGeometry(
-        axis=axis,
         u_min=bp.u_min,
         u_max=bp.u_max,
         u_max_pt=u_max_pt,
@@ -281,9 +275,7 @@ def sigma_diag(model: ValidatedModel) -> float:
     for di, dj, p in model.interior.entries:
         c[di + dj + 2] += p
     c[2] -= 1.0
-    desc = np.trim_zeros(c[::-1], "f")
-    roots = kernel._polish_roots(desc, np.roots(desc))
-    real = abs(roots.imag) < kernel._REAL_ROOT_RTOL * (1.0 + abs(roots.real))
+    roots, real = kernel.real_roots(c)
     above = roots.real[real & (roots.real > 1.0 + 1e-9)]
     if not above.size:
         raise ValueError("diagonal section does not return to 1 beyond u = 1")
@@ -437,14 +429,12 @@ def sample_boundary(model: ValidatedModel, curve: str, n: int) -> DomainSample:
         env[right] = np.log(np.real(kernel.zeta_upper(model, 2, np.exp(t1[right]))))
         pts_t = list(zip(t1.tolist(), np.minimum(env, math.log(geo.tau[1])).tolist()))
         return DomainSample(
-            curve=curve,
             theta=tuple(pts_t),
             u=tuple((math.exp(a), math.exp(b)) for a, b in pts_t),
         )
     else:
         raise ValueError(f"unknown curve {curve!r}")
     return DomainSample(
-        curve=curve,
         theta=tuple(zip(np.log(u1).tolist(), np.log(u2).tolist())),
         u=tuple(zip(u1.tolist(), u2.tolist())),
     )

@@ -43,7 +43,6 @@ class SectionCoefficients:
 class BranchPoints:
     u_min: float
     u_max: float
-    all_quartic_roots: tuple[float, ...]
     # +sqrt(u^2 D) = sqrt_lead * prod sqrt(u - l) * prod sqrt(r - u)
     sqrt_lead: float
     left: tuple[float, ...]  # roots at or below u_min
@@ -163,6 +162,18 @@ def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return iterates[last, np.arange(roots.size)]
 
 
+def real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of the polynomial with ascending coefficients `coeffs`,
+    polished by `_polish_roots`, and the mask of those that are real:
+    |imag| < _REAL_ROOT_RTOL * (1 + |real|).  One root per degree of the
+    trimmed polynomial; a constant has none."""
+    desc = np.trim_zeros(coeffs[::-1], "f")
+    if desc.size < 2:
+        return np.empty(0, complex), np.empty(0, bool)
+    roots = _polish_roots(desc, np.roots(desc))
+    return roots, np.abs(roots.imag) < _REAL_ROOT_RTOL * (1.0 + np.abs(roots.real))
+
+
 @lru_cache(maxsize=256)
 def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
     """Branch interval [u_min, u_max] of coordinate `axis` on the kernel
@@ -180,14 +191,13 @@ def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
     principal-branch sqrt of D would jump across the negative real axis.
     """
     coeffs = _poly_u2D(model, 3 - axis)
-    desc = np.trim_zeros(coeffs[::-1], "f")
-    if desc.size < 3:
+    roots, real = real_roots(coeffs)
+    if roots.size < 2:
         raise KernelError("kernel discriminant polynomial degenerates below degree 2")
-    roots = _polish_roots(desc, np.roots(desc))
-    bad = np.abs(roots.imag) >= _REAL_ROOT_RTOL * (1.0 + np.abs(roots.real))
-    if np.any(bad):
+    if not real.all():
         raise KernelError(
-            f"non-real branch-point roots {roots[bad]}; model invalid or numerics failed")
+            f"non-real branch-point roots {roots[~real]}; model invalid or numerics failed")
+    lead = coeffs[roots.size]  # the leading coefficient: one root per degree
     roots = np.sort(roots.real)
     pm = np.polynomial.polynomial
     u_a = _poly_u_a(_section_matrix(model, 3 - axis))
@@ -205,13 +215,12 @@ def branch_points(model: ValidatedModel, axis: int) -> BranchPoints:
     u_min, u_max = candidates[0]
     left = roots[roots <= u_min + 1e-13]
     right = roots[roots >= u_max - 1e-13]
-    lead_sq = desc[0] * (-1.0) ** len(right)
+    lead_sq = lead * (-1.0) ** len(right)
     if lead_sq <= 0:
         raise KernelError("inconsistent sign in branch factorization")
     return BranchPoints(
         u_min=float(u_min),
         u_max=float(u_max),
-        all_quartic_roots=tuple(float(r) for r in roots),
         sqrt_lead=math.sqrt(lead_sq),
         left=tuple(float(r) for r in left),
         right=tuple(float(r) for r in right),

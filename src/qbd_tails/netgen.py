@@ -4,54 +4,37 @@ product-form stationary distribution serves as ground truth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import TransitionKernel, ValidatedModel, validate
 
 
-@dataclass(frozen=True)
-class JacksonSimParams:
-    lam: float  # simultaneous external arrival rate
-    mu1: float
-    mu2: float
-    p: float  # routing probability node 1 -> node 2
-    q: float  # routing probability node 2 -> node 1
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.mu1 <= 0 or self.mu2 <= 0:
-            raise ValueError("rates must be positive")
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ValueError("routing probabilities must lie in [0, 1]")
-
-    def stable(self) -> bool:
-        d = 1.0 - self.p * self.q
-        return (self.lam * (1.0 + self.q) / d < self.mu1
-                and self.lam * (1.0 + self.p) / d < self.mu2)
-
-
 def jackson_model(lam, mu1, mu2, p, q) -> ValidatedModel:
-    """Uniformized chain of the two-node simultaneous-arrival network,
-    normalized so the total event rate is one."""
-    prm = JacksonSimParams(float(lam), float(mu1), float(mu2), float(p), float(q))
-    s = prm.lam + prm.mu1 + prm.mu2
-    lam_, mu1_, mu2_ = prm.lam / s, prm.mu1 / s, prm.mu2 / s
+    """Uniformized chain of the two-node simultaneous-arrival network
+    (arrival rate lam, service rates mu1 and mu2, routing probability p from
+    node 1 to node 2 and q back), normalized so the total event rate is one."""
+    lam, mu1, mu2, p, q = map(float, (lam, mu1, mu2, p, q))
+    if lam <= 0 or mu1 <= 0 or mu2 <= 0:
+        raise ValueError("rates must be positive")
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ValueError("routing probabilities must lie in [0, 1]")
+    s = lam + mu1 + mu2
+    lam_, mu1_, mu2_ = lam / s, mu1 / s, mu2 / s
     interior = {
         (1, 1): lam_,
-        (-1, 1): mu1_ * prm.p,
-        (1, -1): mu2_ * prm.q,
-        (-1, 0): mu1_ * (1.0 - prm.p),
-        (0, -1): mu2_ * (1.0 - prm.q),
+        (-1, 1): mu1_ * p,
+        (1, -1): mu2_ * q,
+        (-1, 0): mu1_ * (1.0 - p),
+        (0, -1): mu2_ * (1.0 - q),
     }
     boundary1 = {
         (1, 1): lam_,
-        (-1, 1): mu1_ * prm.p,
-        (-1, 0): mu1_ * (1.0 - prm.p),
+        (-1, 1): mu1_ * p,
+        (-1, 0): mu1_ * (1.0 - p),
         (0, 0): mu2_,
     }
     boundary2 = {
         (1, 1): lam_,
-        (1, -1): mu2_ * prm.q,
-        (0, -1): mu2_ * (1.0 - prm.q),
+        (1, -1): mu2_ * q,
+        (0, -1): mu2_ * (1.0 - q),
         (0, 0): mu1_,
     }
     # no service events can fire at the empty state

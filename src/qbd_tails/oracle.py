@@ -35,7 +35,6 @@ class EmpiricalStationaryDistribution:
 
 @dataclass(frozen=True)
 class TailSequence:
-    direction: str
     values: np.ndarray
     source_n: int
 
@@ -52,12 +51,10 @@ class FittedAsymptotic:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    direction: str
     passed: bool
     rate_gap: float
     kappa_gap: float
     periodic_match: bool
-    analytic: AsymptoticClass
     fitted: FittedAsymptotic
 
 
@@ -239,7 +236,7 @@ def extract(dist: EmpiricalStationaryDistribution, direction: str) -> TailSequen
         vals = np.cumsum(anti[::-1])[::-1]
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return TailSequence(direction=direction, values=vals, source_n=dist.n_grid)
+    return TailSequence(values=vals, source_n=dist.n_grid)
 
 
 def _loglin_fit(ns: np.ndarray, logv: np.ndarray):
@@ -258,10 +255,10 @@ def _loglin_fit(ns: np.ndarray, logv: np.ndarray):
     return coef[0], coef[1], d, float(resid @ resid)
 
 
-def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> FittedAsymptotic:
-    """Fit rate, exponent and parity oscillation on the window, by default
-    WINDOW_FRAC times the grid size N the sequence was extracted from, in
-    one least-squares solve.
+def fit_tail(seq: TailSequence) -> FittedAsymptotic:
+    """Fit rate, exponent and parity oscillation on the window WINDOW_FRAC
+    times the grid size N the sequence was extracted from, in one
+    least-squares solve.
 
     The exponent is reported free (kappa_hat) and snapped to the nearest
     value of the lattice {-3/2, -1/2, 0, 1} (kappa_selected).  That is the
@@ -271,13 +268,10 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> Fitted
     is tanh of the fit's alternating coefficient, or +-1 when one parity of
     the window is structurally zero.  Exact zeros that end the window are
     float64 underflow, and the error names where they start."""
-    nmax = len(seq.values) - 1
-    if window is None:
-        window = (math.ceil(WINDOW_FRAC[0] * seq.source_n),
-                  math.floor(WINDOW_FRAC[1] * seq.source_n))
-    n0, n1 = window
-    if not (0 < n0 < n1 <= nmax):
-        raise ValueError(f"window {window} not inside the sequence range")
+    n0 = math.ceil(WINDOW_FRAC[0] * seq.source_n)
+    n1 = math.floor(WINDOW_FRAC[1] * seq.source_n)
+    if not (0 < n0 < n1 <= len(seq.values) - 1):
+        raise ValueError(f"window {(n0, n1)} not inside the sequence range")
     if (n1 - n0) % 2 == 0:
         n1 -= 1  # balanced parities
     ns = np.arange(n0, n1 + 1, dtype=float)
@@ -307,8 +301,7 @@ def fit_tail(seq: TailSequence, window: tuple[int, int] | None = None) -> Fitted
         kappa_selected=min(KAPPA_LATTICE, key=lambda k: abs(k - kh)))
 
 
-def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
-           direction: str = "") -> VerificationReport:
+def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic) -> VerificationReport:
     """Pass iff the fitted rate is within TOL_RATE (relative) of the
     analytic rate, the free exponent kappa_hat within TOL_KAPPA of the
     analytic exponent, and the oscillation agrees.
@@ -322,9 +315,8 @@ def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic,
     periodic_match = analytic.periodic or abs(fitted.b_hat) <= B_THRESHOLD
     passed = rate_gap < TOL_RATE and kappa_gap < TOL_KAPPA and periodic_match
     return VerificationReport(
-        direction=direction, passed=passed, rate_gap=float(rate_gap),
-        kappa_gap=float(kappa_gap), periodic_match=periodic_match,
-        analytic=analytic, fitted=fitted)
+        passed=passed, rate_gap=float(rate_gap), kappa_gap=float(kappa_gap),
+        periodic_match=periodic_match, fitted=fitted)
 
 
 def verify_model(model: ValidatedModel, n_grid: int = 300,
@@ -337,6 +329,6 @@ def verify_model(model: ValidatedModel, n_grid: int = 300,
         dist = solve_truncated(model, n_grid)
     analytic = classes(model)
     return {
-        direction: verify(analytic[direction], fit_tail(extract(dist, direction)), direction)
+        direction: verify(analytic[direction], fit_tail(extract(dist, direction)))
         for direction in DIRECTIONS
     }

@@ -1,6 +1,6 @@
 """Shared fixtures: named example models and a seeded random corpus.
 
-The random corpus is filtered for numate comfort: stable, all non-arithmetic
+The random corpus is filtered for numerical comfort: stable, all non-arithmetic
 flags true, and the competing singularities well separated so truncated-grid
 tail fits converge inside the default window.  Near-tie behavior is covered
 by the purpose-built named models instead.
@@ -53,6 +53,15 @@ def is_even_discriminant(model, axis: int = 2) -> bool:
     """True iff u^2 D_axis(u) is an even polynomial (odd coefficients vanish)."""
     c = _poly_u2D(model, axis)
     return bool(abs(c[1]) < 1e-14 and abs(c[3]) < 1e-14)
+
+
+def jackson_stable(lam, mu1, mu2, p, q) -> bool:
+    """The network's closed-form load conditions: with the traffic equations
+    solved, each node's total arrival rate lam (1 + q) / (1 - p q) and
+    lam (1 + p) / (1 - p q) stays below its service rate.  The reference that
+    `check_stability` on `jackson_model` must match."""
+    d = 1.0 - p * q
+    return lam * (1.0 + q) / d < mu1 and lam * (1.0 + p) / d < mu2
 
 
 def jackson_boundary_condition(lam, mu1, mu2, p) -> bool:

@@ -9,7 +9,6 @@ import pytest
 
 import qbd_tails as qt
 from qbd_tails.kernel import branch_points, gamma, zeta_lower, section_coefficients
-from qbd_tails.netgen import JacksonSimParams
 from qbd_tails.oracle import extract, fit_tail, solve_truncated, verify_model
 
 from conftest import (
@@ -17,6 +16,7 @@ from conftest import (
     extreme_r,
     is_even_discriminant,
     jackson_boundary_condition,
+    jackson_stable,
     zeta_upper_second_derivative,
 )
 
@@ -72,7 +72,7 @@ def test_acceptance_04_stability_boundary_grid():
     cells = ok_cells = 0
     for lam in (0.5, 1.0, 2.0, 3.0, 4.0):
         for mu2 in (1.0, 2.0, 3.0, 4.0, 6.0):
-            closed = JacksonSimParams(lam, mu1, mu2, p, q).stable()
+            closed = jackson_stable(lam, mu1, mu2, p, q)
             drift = qt.check_stability(
                 qt.drifts(qt.jackson_model(lam, mu1, mu2, p, q))).stable
             cells += 1

@@ -9,8 +9,8 @@ from scipy.optimize import brentq
 
 import qbd_tails as qt
 from qbd_tails import geometry, kernel
-from qbd_tails.asymptotics import classes, sigma_diag, sigma_plus, sigma_points
-from qbd_tails.geometry import compute_geometry
+from qbd_tails.asymptotics import classes, sigma_points
+from qbd_tails.geometry import compute_geometry, sigma_diag, sigma_plus
 from qbd_tails.model import TransitionKernel, UnstableModelError, require_stable, validate
 
 from conftest import (

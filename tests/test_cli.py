@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism, round trips."""
 
+import ast
+import importlib
 import json
 import shlex
 import subprocess
@@ -258,6 +260,27 @@ def test_package_resolves_oracle_names_on_first_use():
         getattr(qt, "no_such_name")
 
 
+def test_benchmark_traced_names_resolve():
+    # perfbench/run.py wraps package functions by their "module.function"
+    # names and reads the lru_cache counters of CACHED; a removed name would
+    # otherwise fail only a traced benchmark run
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    names = {target.id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("TRACED", "CACHED")}
+    assert names.keys() == {"TRACED", "CACHED"}
+
+    def resolve(name):
+        module, attr = name.split(".")
+        return getattr(importlib.import_module(f"qbd_tails.{module}"), attr)
+
+    for name in names["TRACED"]:
+        assert callable(resolve(name)), name
+    for name in names["CACHED"]:
+        assert callable(resolve(name).cache_info), name
+
+
 def test_verify_rejects_bad_window(product_file, capsys):
     # the fit window is fixed, so --window is a usage error
     assert main(["verify", "--model", product_file, "--window", "0.3", "0.6"]) == 1
@@ -276,6 +299,26 @@ def test_usage_error_exit_one(argv, capsys):
 def test_help_exit_zero(capsys):
     assert main(["verify", "--help"]) == 0
     assert "--n-grid" in capsys.readouterr().out
+
+
+def test_readme_quick_start_runs():
+    # the README's library block, statement by statement; each bare
+    # expression's value is checked against what its comment states
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    namespace, values = {}, []
+    for stmt in ast.parse(block.split("```", 1)[0]).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    stable, diagonal, all_passed = values
+    geo = namespace["geo"]
+    assert stable is True
+    assert geo.category == "I" and geo.tau == pytest.approx((3.0, 3.0), rel=1e-9)
+    assert diagonal.rate == pytest.approx(3.0, rel=1e-9) and diagonal.kappa == 1.0
+    assert all_passed is True
 
 
 def test_readme_command_lines_parse():
@@ -360,6 +403,15 @@ def test_plot_two_point_curves(product_file, tmp_path):
                  "--n", "2"]) == 0
     rows = (out / "gamma_plus.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_plot_needs_out_and_takes_no_format(product_file, tmp_path, capsys):
+    assert main(["plot", "--model", product_file]) == 1
+    assert capsys.readouterr().err.startswith("usage: qbd-tails plot")
+    assert main(["plot", "--model", product_file, "--out", str(tmp_path / "p"),
+                 "--format", "json"]) == 1
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_plot_rejects_one_point(product_file, tmp_path, capsys):

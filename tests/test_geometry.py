@@ -128,7 +128,7 @@ def test_extreme_max_product(product):
 def test_extreme_max_symmetric_model(x_shaped):
     bp = qt.branch_points(x_shaped, 1)
     assert extreme_max(x_shaped, 1)[0] == pytest.approx(
-        max(bp.all_quartic_roots), abs=1e-12)
+        max(bp.right), abs=1e-12)
 
 
 def gamma_point(model, axis):

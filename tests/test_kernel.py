@@ -23,6 +23,7 @@ from conftest import (
     clear_analysis_caches,
     discriminant,
     is_even_discriminant,
+    jackson_stable,
     zeta_upper_second_derivative,
 )
 
@@ -117,7 +118,7 @@ def test_branch_points_product(product):
 
 def test_branch_points_symmetric_for_diagonal_interior(x_shaped):
     bp = branch_points(x_shaped, 1)
-    roots = np.array(bp.all_quartic_roots)
+    roots = np.array(bp.left + bp.right)
     assert np.allclose(np.sort(roots), -np.sort(-roots)[::-1] * 1.0)
     assert np.allclose(roots, -roots[::-1])
     assert is_even_discriminant(x_shaped, 2)
@@ -135,7 +136,10 @@ def test_branch_points_read_the_quartic_alone(named, monkeypatch):
         for axis in (1, 2):
             bp = branch_points(m, axis)
             assert bp.left[-1] == bp.u_min and bp.right[0] == bp.u_max
-            assert len(bp.left) + len(bp.right) == len(bp.all_quartic_roots)
+            # every real root of the quartic is a factor of its square root, once
+            roots, real = kernel.real_roots(_poly_u2D(m, 3 - axis))
+            assert real.all()
+            assert bp.left + bp.right == tuple(np.sort(roots.real).tolist())
 
 
 def test_branch_interval_contains_unit(corpus20):
@@ -205,10 +209,10 @@ def test_root_pattern_matches_parity(corpus20, x_shaped):
     for m in corpus20:
         bp = branch_points(m, 1)
         assert qt.arithmetic_profile(m).va
-        assert not any(abs(r + bp.u_max) < 1e-8 for r in bp.all_quartic_roots)
+        assert not any(abs(r + bp.u_max) < 1e-8 for r in bp.left + bp.right)
     bp = branch_points(x_shaped, 1)
     assert not qt.arithmetic_profile(x_shaped).va
-    assert any(abs(r + bp.u_max) < 1e-8 for r in bp.all_quartic_roots)
+    assert any(abs(r + bp.u_max) < 1e-8 for r in bp.left + bp.right)
 
 
 def test_upper_branch_log_concavity(product, corpus20):
@@ -370,7 +374,7 @@ def _seeded_networks(count, seed):
         lam = float(rng.uniform(0.5, 2.0))
         p, q = (float(x) for x in rng.uniform(0.05, 0.8, 2))
         mu1, mu2 = (float(x) for x in rng.uniform(0.5, 12.0, 2))
-        if qt.JacksonSimParams(lam, mu1, mu2, p, q).stable():
+        if jackson_stable(lam, mu1, mu2, p, q):
             networks.append(qt.jackson_model(lam, mu1, mu2, p, q))
     return networks
 

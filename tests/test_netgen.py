@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import qbd_tails as qt
-from qbd_tails.netgen import JacksonSimParams
 
-from conftest import as_dict, extreme_r, jackson_boundary_condition, jackson_u1r_closed_form
+from conftest import (
+    as_dict,
+    extreme_r,
+    jackson_boundary_condition,
+    jackson_stable,
+    jackson_u1r_closed_form,
+)
 
 
 def test_jackson_interior_masses():
@@ -72,8 +77,7 @@ def test_u1r_closed_form_matches_geometry_grid():
     for lam in (0.4, 0.6, 0.8, 1.0, 1.2):
         for q in (0.1, 0.25, 0.4, 0.55, 0.7):
             for mu1 in (3.5, 4.5, 5.5, 6.5, 7.5):
-                prm = JacksonSimParams(lam, mu1, mu2, p, q)
-                if not prm.stable():
+                if not jackson_stable(lam, mu1, mu2, p, q):
                     continue
                 m = qt.jackson_model(lam, mu1, mu2, p, q)
                 want = jackson_u1r_closed_form(lam, mu1, p, q)
@@ -86,7 +90,7 @@ def test_stability_grid_matches_closed_form():
     mu1, p, q = 5.0, 0.25, 0.4
     for lam in (0.5, 1.0, 2.0, 3.0, 4.0):
         for mu2 in (1.0, 2.0, 3.0, 4.0, 6.0):
-            closed = JacksonSimParams(lam, mu1, mu2, p, q).stable()
+            closed = jackson_stable(lam, mu1, mu2, p, q)
             verdict = qt.check_stability(qt.drifts(qt.jackson_model(lam, mu1, mu2, p, q)))
             assert verdict.stable == closed, (lam, mu2)
 

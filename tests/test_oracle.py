@@ -434,7 +434,7 @@ def test_extract_directions(product):
 
 def test_fit_exact_geometric():
     n = np.arange(0, 121)
-    seq = TailSequence("boundary1", 2.0 * 3.0 ** (-n), 120)
+    seq = TailSequence(2.0 * 3.0 ** (-n), 120)
     f = fit_tail(seq)
     assert f.rate_hat == pytest.approx(3.0, abs=1e-6)
     assert abs(f.kappa_hat) < 1e-3
@@ -445,7 +445,7 @@ def test_fit_exact_geometric():
 def test_fit_power_correction():
     n = np.arange(0, 121, dtype=float)
     vals = np.concatenate([[1.0], n[1:] ** -1.5]) * 2.0 ** (-n)
-    f = fit_tail(TailSequence("boundary1", vals, 120))
+    f = fit_tail(TailSequence(vals, 120))
     assert f.rate_hat == pytest.approx(2.0, abs=1e-6)
     assert f.kappa_hat == pytest.approx(-1.5, abs=1e-3)
     assert f.kappa_selected == -1.5
@@ -456,7 +456,7 @@ def test_fit_power_correction():
 def test_fit_oscillation(b, kappa):
     n = np.arange(0, 121, dtype=float)
     vals = (1.0 + b * (-1.0) ** n) * np.maximum(n, 1.0) ** kappa * 3.0 ** (-n)
-    f = fit_tail(TailSequence("boundary1", vals, 120))
+    f = fit_tail(TailSequence(vals, 120))
     assert f.rate_hat == pytest.approx(3.0, abs=1e-6)
     assert f.b_hat == pytest.approx(b, abs=1e-9)
     assert f.kappa_hat == pytest.approx(kappa, abs=1e-6)
@@ -466,7 +466,7 @@ def test_fit_amplitude_without_overflow():
     # the intercept is near 760, beyond exp's float range; b_hat is tanh of
     # the alternating coefficient alone and never forms exp(760)
     n = np.arange(301.0)
-    f = fit_tail(TailSequence("boundary1", np.exp(760 - 4 * np.maximum(n, 60)), 300))
+    f = fit_tail(TailSequence(np.exp(760 - 4 * np.maximum(n, 60)), 300))
     assert f.rate_hat == pytest.approx(math.exp(4), rel=1e-9)
     assert abs(f.b_hat) < 1e-9
 
@@ -475,19 +475,21 @@ def test_fit_amplitude_with_subnormal_values():
     # 499^-n is subnormal for n >= 115, inside the window (60, 119): the
     # rounded points must not read as a parity oscillation
     n = np.arange(201.0)
-    f = fit_tail(TailSequence("marginal1", 499.0 ** -n, 200))
+    f = fit_tail(TailSequence(499.0 ** -n, 200))
     assert f.window == (60, 119)
     assert abs(f.b_hat) < 1e-3
 
 
-@pytest.mark.parametrize("n0", [36, 37], ids=["start_even", "start_odd"])
+# N = 120 puts the fit window at 36..71, N = 123 at 37..72
+@pytest.mark.parametrize("source_n", [120, 123], ids=["start_even", "start_odd"])
 @pytest.mark.parametrize("parity, b", [(0, 1.0), (1, -1.0)],
                          ids=["mass_even", "mass_odd"])
-def test_fit_structural_period_two(parity, b, n0):
+def test_fit_structural_period_two(parity, b, source_n):
     n = np.arange(0, 121, dtype=float)
     vals = np.where(n % 2 == parity, np.maximum(n, 1.0) ** -0.5 * 2.0 ** (-n), 0.0)
-    seq = TailSequence("boundary1", vals, 120)
-    f = fit_tail(seq, window=(n0, n0 + 36))
+    seq = TailSequence(vals, source_n)
+    f = fit_tail(seq)
+    assert f.window == ((36, 71) if source_n == 120 else (37, 72))
     assert f.b_hat == b
     assert f.rate_hat == pytest.approx(2.0, abs=1e-6)
     assert f.kappa_selected == _pinned_kappa(seq, f.window) == -0.5
@@ -498,7 +500,7 @@ def test_fit_rejects_nonperiodic_zeros():
     vals = np.ones(121)
     vals[50] = 0.0
     with pytest.raises(ValueError) as err:
-        fit_tail(TailSequence("boundary1", vals, 120))
+        fit_tail(TailSequence(vals, 120))
     assert str(err.value) == "window contains structural zeros not matching period-2"
 
 
@@ -506,46 +508,46 @@ def test_fit_names_underflow():
     # exact zeros from n = 60 to the end of the window 36..71
     vals = np.where(np.arange(121) < 60, 1.0, 0.0)
     with pytest.raises(ValueError) as err:
-        fit_tail(TailSequence("boundary1", vals, 120))
+        fit_tail(TailSequence(vals, 120))
     assert str(err.value) == ("tail underflows float64 from n = 60 inside "
                               "window 36..71; a smaller grid can fit it")
 
 
 def test_fit_rejects_bad_window():
-    seq = TailSequence("boundary1", np.ones(61), 60)
+    # N = 120 ends the window at 72, beyond the sequence's last index 60
+    seq = TailSequence(np.ones(61), 120)
     with pytest.raises(ValueError, match="window"):
-        fit_tail(seq, window=(50, 70))
+        fit_tail(seq)
 
 
 def test_verify_pass_and_negative_control(product, monkeypatch):
     dist = solve_truncated(product, 120)
     fitted = fit_tail(extract(dist, "boundary1"))
     good = qt.AsymptoticClass(3.0, 0.0, False, "test")
-    rep = verify(good, fitted, direction="boundary1")
+    rep = verify(good, fitted)
     assert rep.passed and rep.rate_gap < 5e-3
     # a deliberately wrong exponent class must fail with a visible gap
     bad = qt.AsymptoticClass(3.0, -1.5, False, "test")
-    rep_bad = verify(bad, fitted, direction="boundary1")
+    rep_bad = verify(bad, fitted)
     assert not rep_bad.passed and rep_bad.kappa_gap > 1.0
     # an over-tight rate tolerance must fail somewhere: the diagonal carries
     # genuine truncation bias even though the boundary ray is exact
     fitted_diag = fit_tail(extract(dist, "diagonal"))
     good_diag = qt.AsymptoticClass(3.0, 1.0, False, "test")
-    assert verify(good_diag, fitted_diag, direction="diagonal").passed
+    assert verify(good_diag, fitted_diag).passed
     monkeypatch.setattr(oracle, "TOL_RATE", 1e-9)
-    rep_tight = verify(good_diag, fitted_diag, direction="diagonal")
+    rep_tight = verify(good_diag, fitted_diag)
     assert not rep_tight.passed
 
 
 def test_verify_periodic_one_directional():
-    fitted = fit_tail(TailSequence(
-        "boundary1", 3.0 ** (-np.arange(0, 121, dtype=float)), 120))
+    fitted = fit_tail(TailSequence(3.0 ** (-np.arange(0, 121, dtype=float)), 120))
     periodic_cls = qt.AsymptoticClass(3.0, 0.0, True, "test")
     # a periodic class with a tiny fitted oscillation is consistent: the
     # oscillation amplitude is free in [-1, 1] and may vanish
     assert verify(periodic_cls, fitted).passed
     n = np.arange(0, 121, dtype=float)
-    osc = fit_tail(TailSequence("boundary1", (1 + 0.4 * (-1) ** n) * 3.0 ** -n, 120))
+    osc = fit_tail(TailSequence((1 + 0.4 * (-1) ** n) * 3.0 ** -n, 120))
     plain_cls = qt.AsymptoticClass(3.0, 0.0, False, "test")
     assert not verify(plain_cls, osc).passed
 
