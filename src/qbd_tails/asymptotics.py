@@ -12,7 +12,7 @@ by k = axis - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -206,43 +206,27 @@ def _class_dict(cls: AsymptoticClass) -> dict:
 
 def full_report(model: ValidatedModel, source: str = "inline") -> AnalysisReport:
     """Aggregate stability, geometry, sigma points, arithmetic profile and
-    all five asymptotic classes into one serializable record."""
+    all five asymptotic classes into one serializable record.  The
+    stability, drifts, arithmetic_profile and sigma blocks are `asdict` of
+    their records, so those records' field names and order are the keys."""
     d = drifts(model)
     verdict = check_stability(d)
-    prof = arithmetic_profile(model)
     body: dict = {
         "meta": {"tool": "qbd-tails", "source": source},
-        "stability": {
-            "stable": verdict.stable,
-            "matched_condition": verdict.matched_condition,
-            "inner_product_face1": verdict.ip_m1,
-            "inner_product_face2": verdict.ip_m2,
-        },
-        "drifts": {
-            "m": list(d.m), "m1": list(d.m1), "m2": list(d.m2),
-            "m1_perp": list(d.m1_perp), "m2_perp": list(d.m2_perp),
-        },
-        "arithmetic_profile": {
-            "va": prof.va, "vb": prof.vb, "vc": prof.vc,
-            "b_case": prof.b_case, "c_case": prof.c_case,
-            "m1_2_zero": prof.m1_2_zero, "m2_1_zero": prof.m2_1_zero,
-        },
+        "stability": asdict(verdict),
+        "drifts": asdict(d),
+        "arithmetic_profile": asdict(arithmetic_profile(model)),
     }
     if not verdict.stable:
         return AnalysisReport(False, round12(body))
     geo = compute_geometry(model)
-    sig = sigma_points(model)
     body["geometry"] = {
         "category": geo.category,
         "tau": list(geo.tau),
         "axis1": _axis_dict(geo.axis1),
         "axis2": _axis_dict(geo.axis2),
     }
-    body["sigma"] = {
-        "sigma_plus_1": sig.sigma_plus_1,
-        "sigma_plus_2": sig.sigma_plus_2,
-        "sigma_d": sig.sigma_d,
-    }
+    body["sigma"] = asdict(sigma_points(model))
     body["classes"] = {name: _class_dict(cls) for name, cls in classes(model).items()}
     return AnalysisReport(True, round12(body))
 

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import asymptotics, geometry, netgen
@@ -101,23 +102,7 @@ def run_verify(args) -> int:
         _dump(asymptotics.round12({**body, "oracle": solve}), args.format, args.out)
         print(f"oracle could not fit a tail: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
-    body["verification"] = {
-        name: {
-            "passed": r.passed,
-            "rate_gap": r.rate_gap,
-            "kappa_gap": r.kappa_gap,
-            "periodic_match": r.periodic_match,
-            "fitted": {
-                "rate_hat": r.fitted.rate_hat,
-                "kappa_hat": r.fitted.kappa_hat,
-                "kappa_selected": r.fitted.kappa_selected,
-                "b_hat": r.fitted.b_hat,
-                "window": list(r.fitted.window),
-                "residual_norm": r.fitted.residual_norm,
-            },
-        }
-        for name, r in reports.items()
-    }
+    body["verification"] = {name: asdict(r) for name, r in reports.items()}
     body["oracle"] = solve
     _dump(asymptotics.round12(body), args.format, args.out)
     failing = [name for name, r in reports.items() if not r.passed]

@@ -159,8 +159,8 @@ class StabilityVerdict:
     stable: bool
     matched_condition: str  # interior-both-negative | axis1-drift-nonnegative |
     #                         axis2-drift-nonnegative | none
-    ip_m1: float  # <m, m1_perp>
-    ip_m2: float  # <m, m2_perp>
+    inner_product_face1: float  # <m, m1_perp>
+    inner_product_face2: float  # <m, m2_perp>
 
 
 @dataclass(frozen=True)

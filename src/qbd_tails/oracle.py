@@ -41,16 +41,21 @@ class TailSequence:
 
 @dataclass(frozen=True)
 class FittedAsymptotic:
+    """One tail's fit (`fit_tail`): b_hat is tanh of the alternating
+    coefficient, so |b_hat| <= 1.  `cli.run_verify` writes it by `asdict`,
+    so these fields, in this order, are the keys of its `fitted` block."""
     rate_hat: float
     kappa_hat: float
+    kappa_selected: float
     b_hat: float
     window: tuple[int, int]
     residual_norm: float
-    kappa_selected: float
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One direction's verdict (`verify`), written by `asdict` as one entry
+    of the verify JSON's `verification` block."""
     passed: bool
     rate_gap: float
     kappa_gap: float
@@ -265,9 +270,12 @@ def fit_tail(seq: TailSequence) -> FittedAsymptotic:
     lattice value whose pinned refit leaves the smallest residual: by
     Frisch-Waugh-Lovell, pinning it at kappa adds c (kappa - kappa_hat)^2,
     c >= 0, to the free fit's residual sum.  The oscillation amplitude b_hat
-    is tanh of the fit's alternating coefficient, or +-1 when one parity of
-    the window is structurally zero.  Exact zeros that end the window are
-    float64 underflow, and the error names where they start."""
+    is tanh of the fit's alternating coefficient.
+
+    Every grid state of a validated model has positive probability (its
+    grid chain is strongly connected) and the solve never subtracts, so an
+    exact zero is float64 underflow: any zero in the window raises, naming
+    where the first one is."""
     n0 = math.ceil(WINDOW_FRAC[0] * seq.source_n)
     n1 = math.floor(WINDOW_FRAC[1] * seq.source_n)
     if not (0 < n0 < n1 <= len(seq.values) - 1):
@@ -277,28 +285,14 @@ def fit_tail(seq: TailSequence) -> FittedAsymptotic:
     ns = np.arange(n0, n1 + 1, dtype=float)
     vals = seq.values[n0:n1 + 1]
     pos = vals > 0.0
-    structural_b = None
     if not pos.all():
-        npos_even = pos[::2]
-        npos_odd = pos[1::2]
-        if npos_even.all() and not npos_odd.any():
-            structural_b = 1.0 if n0 % 2 == 0 else -1.0
-        elif npos_odd.all() and not npos_even.any():
-            structural_b = -1.0 if n0 % 2 == 0 else 1.0
-        else:
-            first = int(np.argmin(pos))
-            if (vals[first:] == 0.0).all():
-                raise ValueError(
-                    f"tail underflows float64 from n = {n0 + first} inside window "
-                    f"{n0}..{n1}; a smaller grid can fit it")
-            raise ValueError("window contains structural zeros not matching period-2")
-        ns, vals = ns[pos], vals[pos]
+        raise ValueError(f"tail underflows float64 from n = {n0 + int(np.argmin(pos))} "
+                         f"inside window {n0}..{n1}; a smaller grid can fit it")
     lr, kh, d, rss = _loglin_fit(ns, np.log(vals))
-    b_hat = math.tanh(d) if structural_b is None else structural_b
     return FittedAsymptotic(
-        rate_hat=math.exp(lr), kappa_hat=float(kh), b_hat=float(b_hat),
-        window=(n0, n1), residual_norm=math.sqrt(rss / len(ns)),
-        kappa_selected=min(KAPPA_LATTICE, key=lambda k: abs(k - kh)))
+        rate_hat=math.exp(lr), kappa_hat=float(kh),
+        kappa_selected=min(KAPPA_LATTICE, key=lambda k: abs(k - kh)),
+        b_hat=math.tanh(d), window=(n0, n1), residual_norm=math.sqrt(rss / len(ns)))
 
 
 def verify(analytic: AsymptoticClass, fitted: FittedAsymptotic) -> VerificationReport:

@@ -125,6 +125,21 @@ def test_verify_product_exit_zero(product_file, tmp_path):
     assert 2 <= oracle["levels_factored"] <= 15  # 2 ceil(log2(N + 1)) + 1
 
 
+def test_verify_json_schema(product_file, tmp_path):
+    # the verify records are written by `asdict`, so their declaration
+    # order is the key order; the golden files pin only the analyze bytes
+    out = tmp_path / "verify.json"
+    main(["verify", "--model", product_file, "--n-grid", "64", "--out", str(out)])
+    body = json.loads(out.read_text())
+    assert list(body)[-2:] == ["verification", "oracle"]
+    assert list(body["verification"]) == list(asymptotics.DIRECTIONS)
+    for rep in body["verification"].values():
+        assert list(rep) == ["passed", "rate_gap", "kappa_gap", "periodic_match", "fitted"]
+        assert list(rep["fitted"]) == ["rate_hat", "kappa_hat", "kappa_selected",
+                                       "b_hat", "window", "residual_norm"]
+    assert list(body["oracle"]) == ["n_grid", "residual", "levels_factored"]
+
+
 def test_verify_text_format(product_file, capsys):
     code = main(["verify", "--model", product_file, "--n-grid", "96",
                  "--format", "text"])

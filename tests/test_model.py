@@ -272,7 +272,7 @@ def test_drift_perpendicular_example():
 def test_stability_product(product):
     v = qt.check_stability(qt.drifts(product))
     assert v.stable and v.matched_condition == "interior-both-negative"
-    assert v.ip_m1 < 0 and v.ip_m2 < 0
+    assert v.inner_product_face1 < 0 and v.inner_product_face2 < 0
 
 
 def test_stability_network_matches_closed_form():

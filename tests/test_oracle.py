@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 import qbd_tails as qt
 from qbd_tails import oracle
@@ -44,6 +45,16 @@ def test_censored_matrix_rows_stochastic(product, jackson_paper):
     want /= want.sum(axis=1, keepdims=True)
     got = censored_matrix(jackson_paper, n - 1).toarray()
     assert np.abs(got - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("n_grid", [6, 7, 8, 32])
+def test_grid_chain_strongly_connected(n_grid, named, corpus20):
+    # the premise of fit_tail's rule that an exact zero in pi is underflow:
+    # every grid state reaches every other, so none has probability zero;
+    # N = 6 is the window `validate` checks irreducibility on
+    for model in named + corpus20:
+        assert connected_components(censored_matrix(model, n_grid),
+                                    connection="strong")[0] == 1
 
 
 def test_solver_requires_stability_and_minimum_grid(product):
@@ -213,13 +224,12 @@ NAMED = ("product", "jackson_paper", "jackson_q0_geometric", "jackson_q0_branch"
 
 
 def _pinned_kappa(seq: TailSequence, window: tuple[int, int]) -> float:
-    """Reference for `fit_tail`'s kappa_selected: refit the window (period-2
-    structural zeros dropped) with the exponent pinned to each lattice
+    """Reference for `fit_tail`'s kappa_selected: refit the window, whose
+    values are all positive, with the exponent pinned to each lattice
     value, and return the one with the smallest residual sum."""
     n0, n1 = window
     ns = np.arange(n0, n1 + 1, dtype=float)
-    vals = seq.values[n0:n1 + 1]
-    ns, logv = ns[vals > 0.0], np.log(vals[vals > 0.0])
+    logv = np.log(seq.values[n0:n1 + 1])
     cols = [-ns, np.ones_like(ns)]
     if len(ns) >= 6:
         cols.append((-1.0) ** ns)
@@ -482,26 +492,28 @@ def test_fit_amplitude_with_subnormal_values():
 
 # N = 120 puts the fit window at 36..71, N = 123 at 37..72
 @pytest.mark.parametrize("source_n", [120, 123], ids=["start_even", "start_odd"])
-@pytest.mark.parametrize("parity, b", [(0, 1.0), (1, -1.0)],
-                         ids=["mass_even", "mass_odd"])
-def test_fit_structural_period_two(parity, b, source_n):
+@pytest.mark.parametrize("parity", [0, 1], ids=["mass_even", "mass_odd"])
+def test_fit_structural_period_two(parity, source_n):
+    # no grid state of a validated model has probability zero, so one parity
+    # at exact zero is underflow like any other zero, not b_hat = +-1
     n = np.arange(0, 121, dtype=float)
     vals = np.where(n % 2 == parity, np.maximum(n, 1.0) ** -0.5 * 2.0 ** (-n), 0.0)
-    seq = TailSequence(vals, source_n)
-    f = fit_tail(seq)
-    assert f.window == ((36, 71) if source_n == 120 else (37, 72))
-    assert f.b_hat == b
-    assert f.rate_hat == pytest.approx(2.0, abs=1e-6)
-    assert f.kappa_selected == _pinned_kappa(seq, f.window) == -0.5
+    n0 = 36 if source_n == 120 else 37
+    first = n0 if n0 % 2 != parity else n0 + 1
+    with pytest.raises(ValueError) as err:
+        fit_tail(TailSequence(vals, source_n))
+    assert str(err.value) == (f"tail underflows float64 from n = {first} inside "
+                              f"window {n0}..{n0 + 35}; a smaller grid can fit it")
 
 
 def test_fit_rejects_nonperiodic_zeros():
-    # a zero with positive values after it is no underflow
+    # a zero with positive values after it raises the same error
     vals = np.ones(121)
     vals[50] = 0.0
     with pytest.raises(ValueError) as err:
         fit_tail(TailSequence(vals, 120))
-    assert str(err.value) == "window contains structural zeros not matching period-2"
+    assert str(err.value) == ("tail underflows float64 from n = 50 inside "
+                              "window 36..71; a smaller grid can fit it")
 
 
 def test_fit_names_underflow():
